@@ -22,7 +22,7 @@ processes"* (PODC 2025; arXiv:2504.09805). The library provides:
   fuzzing, counterexample shrinking (``repro.explore``),
 * a unified scenario registry — declarative records (topology, family,
   adversary, workload, oracle binding, expected verdict) that the
-  campaign, explorer, bench and corpus all derive their scenarios from
+  campaign, explorer and corpus all derive their scenarios from
   (``repro.scenarios``), and
 * a differential conformance campaign layer with a persistent,
   replayable violation corpus (``repro.campaign``).

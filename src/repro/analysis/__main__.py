@@ -11,16 +11,13 @@ Usage::
     python -m repro.analysis campaign --submit --smoke   # enqueue a run...
     python -m repro.analysis campaign --worker           # ...lease + execute it
     python -m repro.analysis campaign --status           # ...verdicts + drift
-    python -m repro.analysis bench --smoke      # perf-regression matrix
     python -m repro.analysis scenarios --list   # unified scenario registry
     python -m repro.analysis net --clients 50   # live socket cluster + load
     python -m repro.analysis net --cell <label> # a pinned live smoke cell
     python -m repro.analysis net --check ev.json  # offline evidence re-check
 
-This is the no-pytest path to EXPERIMENTS.md's tables — useful for
-quick inspection or for environments without pytest-benchmark. Each
-experiment prints its table and a PASS/FAIL verdict on the qualitative
-expectation it reproduces.
+Each experiment prints its table and a PASS/FAIL verdict on the
+qualitative expectation it reproduces.
 
 The ``explore`` subcommand drives ``repro.explore`` end to end: bounded
 systematic search plus a swarm fuzzing campaign over the Theorem 29
@@ -40,11 +37,6 @@ recorded in the results database); ``--submit`` / ``--worker`` /
 ``--status`` / ``--watch`` expose the persistent queue directly, so a
 long campaign survives worker crashes and can be drained by workers on
 any host sharing the database.
-
-The ``bench`` subcommand runs the fixed perf-regression matrix
-(``repro.analysis.bench``) and writes ``BENCH_kernel.json``; with
-``--compare`` it warns — without failing — when a cell regressed
-against a committed baseline.
 
 The ``net`` subcommand drives ``repro.net``, the live-network runtime:
 an n-process cluster on localhost TCP sockets with socket-layer chaos
@@ -184,7 +176,6 @@ def _list_experiments() -> int:
         print(f"{exp_id:4} {title}")
     print("explore  schedule-space exploration (see `explore --help`)")
     print("campaign differential conformance campaign (see `campaign --help`)")
-    print("bench    perf-regression benchmark matrix (see `bench --help`)")
     print("scenarios unified scenario registry listing (see `scenarios --help`)")
     return 0
 
@@ -201,7 +192,7 @@ def _scenarios_main(argv: Sequence[str]) -> int:
             "List the unified scenario registry: every record's "
             "coordinates (family, n, f, engine, adversary/workload "
             "params), its pinned differential expectation, and which "
-            "consumers (campaign / explore / bench / smoke) include it."
+            "consumers (campaign / explore / smoke / net) include it."
         ),
     )
     parser.add_argument(
@@ -334,7 +325,6 @@ def _explore_main(argv: Sequence[str]) -> int:
     parser.add_argument(
         "--preempt", type=int, default=2, help="systematic preemption bound"
     )
-    parser.add_argument("--mode", choices=("dfs", "bfs"), default="dfs")
     parser.add_argument(
         "--reduction",
         choices=("sleep", "dpor", "dpor+symmetry"),
@@ -343,14 +333,6 @@ def _explore_main(argv: Sequence[str]) -> int:
         "dynamic partial-order reduction, or dpor plus interchangeable-"
         "process symmetry folding (default: what the registry record "
         "pins, else sleep)",
-    )
-    parser.add_argument(
-        "--prefix-sharing",
-        choices=("auto", "fork", "replay"),
-        default="auto",
-        help="systematic node executor: fork-based prefix sharing, plain "
-        "re-execution, or auto (fork when the platform and CPU count "
-        "make it profitable)",
     )
     parser.add_argument(
         "--shards", type=int, default=None, help="fuzzer processes (default: cores, <=4)"
@@ -394,8 +376,6 @@ def _explore_main(argv: Sequence[str]) -> int:
                 depth_bound=args.depth,
                 preemption_bound=args.preempt,
                 budget=args.budget,
-                mode=args.mode,
-                prefix_sharing=args.prefix_sharing,
                 reduction=reduction,
                 symmetry=symmetry,
             )
@@ -403,7 +383,7 @@ def _explore_main(argv: Sequence[str]) -> int:
             rows.append(
                 (
                     phase,
-                    f"systematic/{args.mode}/{reduction}",
+                    f"systematic/dfs/{reduction}",
                     sys_report.runs,
                     round(sys_report.runs_per_sec),
                     round(sys_report.states_per_sec),
@@ -659,7 +639,7 @@ def _campaign_main(argv: Sequence[str]) -> int:
         "--db",
         default=None,
         metavar="PATH",
-        help="service database (default: benchmarks/_results/service.db)",
+        help="service database (default: .repro/service.db in the repo)",
     )
     parser.add_argument(
         "--run",
@@ -924,10 +904,6 @@ def main(argv: Sequence[str]) -> int:
         return _campaign_main(list(argv[1:]))
     if argv and argv[0].lower() == "scenarios":
         return _scenarios_main(list(argv[1:]))
-    if argv and argv[0].lower() == "bench":
-        from repro.analysis.bench import main as bench_main
-
-        return bench_main(list(argv[1:]))
     if argv and argv[0].lower() == "net":
         from repro.analysis.net import main as net_main
 

@@ -1,13 +1,13 @@
-"""Experiment drivers E1–E11 (see DESIGN.md §2 and EXPERIMENTS.md).
+"""The experiments behind ``python -m repro.analysis E1 ... E12``.
 
-Each ``exp_*`` function runs one experiment of the reproduction plan and
+Each function here runs one experiment of the reproduction plan and
 returns ``(headers, rows)`` ready for ``reporting.render_table``. The
-benchmark files under ``benchmarks/`` wrap these drivers with
-pytest-benchmark so the same code both *validates* (assertions inside)
-and *measures* (wall-clock of the simulation harness).
+CLI judges every table against the qualitative shape the paper
+predicts, and ``tests/test_experiments.py`` pins the same shapes in the
+suite.
 
 The drivers are deliberately deterministic: seeds are fixed parameters,
-so the tables in EXPERIMENTS.md regenerate bit-identically.
+so the tables regenerate bit-identically.
 """
 
 from __future__ import annotations

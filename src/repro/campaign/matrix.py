@@ -290,10 +290,10 @@ def default_matrix(
 def run_cell(cell: CampaignCell) -> CellOutcome:
     """Worker entry point: execute one matrix cell to completion.
 
-    This is *the* cell-execution path: the one-shot pool workers, the
-    bench harness and the ``repro.service`` leasing workers all call
-    it, which is what makes a cell's verdict a pure function of its
-    spec — byte-identical however and wherever it is executed.
+    This is *the* cell-execution path: the one-shot pool workers and
+    the ``repro.service`` leasing workers all call it, which is what
+    makes a cell's verdict a pure function of its spec — byte-identical
+    however and wherever it is executed.
 
     Swarm cells run a single-shard :func:`repro.explore.fuzzer.fuzz`
     campaign — pool parallelism is across cells, so a cell's findings
@@ -317,10 +317,6 @@ def run_cell(cell: CampaignCell) -> CellOutcome:
             preemption_bound=cell.preemption_bound,
             budget=cell.budget,
             stop_on_violation=cell.expect_violation,
-            # Campaign cells already fan out across the worker pool; the
-            # fork branch executor would only oversubscribe the cores,
-            # so cells always use the replay engine.
-            prefix_sharing="replay",
             early_exit=early_exit,
             reduction=cell.reduction,
             symmetry=cell.symmetry,

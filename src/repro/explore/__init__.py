@@ -8,7 +8,7 @@ schedules; ``repro.explore`` actually searches that space:
   scenarios, including the Theorem 29 / Figure 1 race and the
   randomized register workloads;
 * :mod:`repro.explore.explorer` — bounded systematic exploration
-  (DFS/BFS over decision traces with preemption bounds, state
+  (depth-first over decision traces with preemption bounds, state
   fingerprint memoization, and a choice of ``reduction``: sleep-set
   commutation pruning, source-set dynamic partial-order reduction, or
   DPOR plus interchangeable-process symmetry folding);

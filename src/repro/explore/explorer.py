@@ -1,11 +1,11 @@
 """Bounded systematic exploration of the schedule space.
 
-Stateless (re-execution based) model checking over scheduler decision
-traces: each node of the search tree is a decision-index prefix (see
-:class:`repro.sim.TraceScheduler`); executing a node replays its prefix
-and completes the run with a *fair* round-robin fallback, so every
-explored schedule is a full history the spec checkers can judge. The
-search is bounded three ways:
+Stateless (re-execution based) depth-first model checking over
+scheduler decision traces: each node of the search tree is a
+decision-index prefix (see :class:`repro.sim.TraceScheduler`); executing
+a node replays its prefix from a fresh build and completes the run with
+a *fair* round-robin fallback, so every explored schedule is a full
+history the spec checkers can judge. The search is bounded three ways:
 
 * **depth bound** — deviations from the fallback are only injected in
   the first ``depth_bound`` steps (the classic bounded-model-checking
@@ -70,11 +70,9 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import os
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SchedulerError, StepLimitExceeded
 from repro.sim.effects import (
@@ -88,7 +86,6 @@ from repro.sim.effects import (
 from repro.sim.scheduler import CoroutineId, RoundRobinScheduler, TraceScheduler
 from repro.spec.context import CheckContext
 from repro.explore.dpor import NEVER, SymmetryFolder, analyze_run
-from repro.explore.forkexec import MISS, SKIPPED, BranchExecutor, fork_available
 from repro.explore.scenarios import Scenario, Violation
 
 #: Effect signature: ("read", reg) / ("write", reg) / ("pause",) /
@@ -217,7 +214,6 @@ class ExploreReport:
     """Outcome of one bounded exploration campaign."""
 
     scenario: str
-    mode: str
     depth_bound: int
     preemption_bound: int
     budget: int
@@ -242,14 +238,6 @@ class ExploreReport:
     exhausted: bool = False
     elapsed: float = 0.0
     violations: List[Violation] = field(default_factory=list)
-    #: Node executor used: "fork" (prefix-sharing branch executor) or
-    #: "replay" (re-execution from the root).
-    engine: str = "replay"
-    #: Prefix steps re-executed to reach decision points (all of them on
-    #: the replay engine; once per sibling group on the fork engine).
-    replayed_steps: int = 0
-    #: Prefix steps forked children inherited instead of re-executing.
-    shared_steps: int = 0
 
     @property
     def runs_per_sec(self) -> float:
@@ -269,12 +257,6 @@ class ExploreReport:
             else "no violations"
         )
         tree = "bounded tree exhausted" if self.exhausted else "budget reached"
-        sharing = (
-            f", {self.shared_steps} prefix steps shared / "
-            f"{self.replayed_steps} replayed"
-            if self.engine == "fork"
-            else ""
-        )
         if self.reduction == "sleep":
             pruning = (
                 f"pruned {self.pruned_fingerprint} by fingerprint / "
@@ -289,13 +271,12 @@ class ExploreReport:
             )
         return (
             f"{self.scenario}: {verdict} in {self.runs} runs "
-            f"({self.mode}/{self.engine}/{self.reduction}, "
+            f"({self.reduction}, "
             f"depth<={self.depth_bound}, "
             f"preemptions<={self.preemption_bound}; {tree}); "
             f"{self.runs_per_sec:.0f} runs/s, {self.states_per_sec:.0f} states/s, "
             f"{self.unique_states} unique states, "
             + pruning
-            + sharing
         )
 
 
@@ -329,11 +310,8 @@ def execute_trace(
 class InstrumentedRun:
     """One scenario execution with windowed per-step instrumentation.
 
-    The two halves of the explorer's executor: :meth:`run_prefix_steps`
-    materializes a decision prefix step by step (the state the
-    fork-based branch executor shares between siblings), and
     :meth:`finish` drives the run to completion and packages the
-    :class:`RunRecord`. :func:`execute_trace` is simply construct +
+    :class:`RunRecord`; :func:`execute_trace` is simply construct +
     finish.
 
     Recording is *windowed*: per-step observations stop — and the
@@ -430,24 +408,6 @@ class InstrumentedRun:
                 # Window closed: nothing left to observe, run the tail
                 # of the schedule without per-step instrumentation.
                 self.system.on_step = None
-
-    def extend_prefix(self, index: int) -> None:
-        """Force ``index`` as the next decision (branch-executor hook)."""
-        self.scheduler.extend_prefix(index)
-        self._window = max(self._window, len(self.scheduler.prefix))
-
-    def run_prefix_steps(self, count: int) -> bool:
-        """Take exactly ``count`` kernel steps (the shared prefix).
-
-        Returns False when the run ends early — callers then fall back
-        to plain re-execution. Raises :class:`SchedulerError` when the
-        prefix is unrealizable, exactly like :func:`execute_trace`.
-        """
-        step = self.system.step
-        for _ in range(count):
-            if not step():
-                return False
-        return True
 
     def finish(self) -> RunRecord:
         """Drive to completion, judge the history, build the record.
@@ -599,52 +559,24 @@ def _symmetry_folder(
     return folder if folder else None
 
 
-def _resolve_prefix_sharing(prefix_sharing: str) -> bool:
-    """Whether to use the fork branch executor for this exploration."""
-    if prefix_sharing not in ("auto", "fork", "replay"):
-        raise ValueError(
-            f"prefix_sharing must be 'auto', 'fork' or 'replay', "
-            f"got {prefix_sharing!r}"
-        )
-    if prefix_sharing == "fork":
-        if not fork_available():
-            raise ValueError("prefix_sharing='fork' requires os.fork")
-        return True
-    if prefix_sharing == "replay":
-        return False
-    # auto: fork pays off only when forked siblings can overlap on
-    # spare cores AND the per-sibling fork + pickle + pipe tax is
-    # amortized. Measured on the shipped Theorem 29 workloads (depth
-    # bound 14, 1-core host, 2026-08, after the singleton-group
-    # fallback stopped forking one-child groups): replay ~1.3ms/run,
-    # fork ~2.9ms/run — a ~1.6ms fixed fork tax, so the break-even
-    # model (tax / run cost) + 1 now lands near 2–3 hardware threads
-    # of sibling overlap. The threshold stays at >= 4 until a
-    # multi-core `explore.dfs.3f.fork` bench point confirms the
-    # serial-host arithmetic; the old >= 2 threshold predated the
-    # faster replay path.
-    return fork_available() and (os.cpu_count() or 1) >= 4
-
-
 def explore(
     scenario: Scenario,
     depth_bound: int = 14,
     preemption_bound: int = 2,
     budget: int = 1_000,
-    mode: str = "dfs",
-    memoize: bool = True,
-    sleep_sets: bool = True,
     stop_on_violation: bool = False,
-    prefix_sharing: str = "auto",
+    prefix_sharing: str = "replay",
     ctx: Optional[CheckContext] = None,
     early_exit: bool = False,
     reduction: str = "sleep",
     symmetry: Sequence[Sequence[int]] = (),
 ) -> ExploreReport:
-    """Systematically search bounded schedules of ``scenario``.
+    """Depth-first search over bounded schedules of ``scenario``.
 
     Returns an :class:`ExploreReport`; ``report.violations`` holds one
     representative :class:`Violation` per deduplicated violation class.
+    Every node is executed by replaying its decision prefix from a
+    fresh build of the scenario.
 
     ``reduction`` picks the pruning strategy (see the module docstring):
     ``"sleep"`` expands every runnable sibling under fingerprint memo +
@@ -657,14 +589,9 @@ def explore(
     (pinned by ``tests/test_dpor_differential.py``); the dpor modes
     reach them in several-fold fewer runs.
 
-    ``prefix_sharing`` selects the node executor: ``"fork"`` shares each
-    sibling group's prefix through the POSIX fork branch executor
-    (:mod:`repro.explore.forkexec`), ``"replay"`` re-executes every node
-    from the root, and ``"auto"`` (default) picks fork exactly when the
-    platform supports it and more than one CPU is available. Both
-    engines produce identical reports; ``report.engine`` records the
-    choice and ``replayed_steps`` / ``shared_steps`` quantify the
-    prefix work saved.
+    ``prefix_sharing`` only accepts ``"replay"``, the one node executor;
+    any other value raises :class:`ValueError` (the fork-based executor
+    was removed).
 
     A :class:`CheckContext` (one is created when ``ctx`` is None) shares
     the oracle layer's memo tables across every run of the exploration:
@@ -674,8 +601,11 @@ def explore(
     truncated history's violation, so keep it off when the exact
     horizon-history reason matters (the corpus pipeline does).
     """
-    if mode not in ("dfs", "bfs"):
-        raise ValueError(f"mode must be 'dfs' or 'bfs', got {mode!r}")
+    if prefix_sharing != "replay":
+        raise ValueError(
+            f"prefix_sharing must be 'replay', got {prefix_sharing!r} "
+            f"(the fork branch executor was removed)"
+        )
     if reduction not in REDUCTIONS:
         raise ValueError(
             f"reduction must be one of {', '.join(map(repr, REDUCTIONS))}, "
@@ -689,369 +619,323 @@ def explore(
         if reduction == "dpor+symmetry"
         else None
     )
-    use_fork = _resolve_prefix_sharing(prefix_sharing)
     report = ExploreReport(
         scenario=scenario.label(),
-        mode=mode,
         depth_bound=depth_bound,
         preemption_bound=preemption_bound,
         budget=budget,
-        engine="fork" if use_fork else "replay",
         reduction=reduction,
     )
     started = time.perf_counter()
-    frontier: Deque[Tuple[int, ...]] = deque([()])
+    frontier: List[Tuple[int, ...]] = [()]
     seen_states: Dict[int, int] = {}
     seen_violations: Set[str] = set()
     #: dpor modes: decision prefix -> backtrack bookkeeping.
     nodes: Dict[Tuple[int, ...], _DporNode] = {}
-    label = f"explore({mode})"
-    executor = (
-        BranchExecutor(
-            scenario, depth_bound, schedule_label=label, fingerprints=memoize,
-            ctx=ctx, early_exit=early_exit, record_full=use_dpor,
-        )
-        if use_fork
-        else None
-    )
 
-    try:
-        with paused_gc():
-            while frontier and report.runs < budget:
-                prefix = frontier.pop() if mode == "dfs" else frontier.popleft()
-                record: Optional[RunRecord] = None
-                if executor is not None:
-                    fetched = executor.fetch(prefix)
-                    if fetched is SKIPPED:
-                        # Unrealizable / failed sibling: the mirror of
-                        # the SchedulerError `continue` below.
-                        continue
-                    if fetched is not MISS:
-                        record = fetched
-                if record is None:
-                    try:
-                        record = execute_trace(
-                            scenario,
-                            prefix,
-                            depth_bound=depth_bound,
-                            fingerprints=memoize,
-                            schedule_label=label,
-                            ctx=ctx,
-                            early_exit=early_exit,
-                            record_full=use_dpor,
-                        )
-                        report.replayed_steps += len(prefix)
-                    except SchedulerError:
-                        # The prefix stopped being realizable (can happen
-                        # when a sibling index exceeds the runnable count
-                        # mid-tree).
-                        continue
-                report.runs += 1
-                report.steps += record.steps
-                report.states += len(record.fingerprints)
-                if not record.completed:
-                    report.incomplete += 1
+    with paused_gc():
+        while frontier and report.runs < budget:
+            prefix = frontier.pop()
+            try:
+                record = execute_trace(
+                    scenario,
+                    prefix,
+                    depth_bound=depth_bound,
+                    fingerprints=True,
+                    schedule_label="explore(dfs)",
+                    ctx=ctx,
+                    early_exit=early_exit,
+                    record_full=use_dpor,
+                )
+            except SchedulerError:
+                # The prefix stopped being realizable (can happen when
+                # a sibling index exceeds the runnable count mid-tree).
+                continue
+            report.runs += 1
+            report.steps += record.steps
+            report.states += len(record.fingerprints)
+            if not record.completed:
+                report.incomplete += 1
+                continue
+            if record.violation is not None:
+                key = record.violation.fingerprint()
+                if key not in seen_violations:
+                    seen_violations.add(key)
+                    report.violations.append(record.violation)
+                if stop_on_violation:
+                    break
+
+            # Fingerprint memoization: skip expanding a node whose
+            # state was already expanded at the same or a shallower
+            # depth. An early-exited run aborts mid-step — the
+            # scheduler has recorded that step's decision, but the
+            # on_step observations (effects/chosen/fingerprints)
+            # stop one entry short — so a record doomed at its own
+            # deviated step may lack that fingerprint; skip the
+            # memo (less pruning, never wrong).
+            if prefix and len(record.fingerprints) >= len(prefix):
+                node_state = record.fingerprints[len(prefix) - 1]
+                known_depth = seen_states.get(node_state)
+                if known_depth is not None and known_depth <= len(prefix):
+                    report.pruned_fingerprint += 1
                     continue
-                if record.violation is not None:
-                    key = record.violation.fingerprint()
-                    if key not in seen_violations:
-                        seen_violations.add(key)
-                        report.violations.append(record.violation)
-                    if stop_on_violation:
-                        break
+                seen_states[node_state] = len(prefix)
+            for depth, state in enumerate(record.fingerprints, start=1):
+                seen_states.setdefault(state, depth)
+            report.unique_states = len(seen_states)
 
-                # Fingerprint memoization: skip expanding a node whose
-                # state was already expanded at the same or a shallower
-                # depth. An early-exited run aborts mid-step — the
-                # scheduler has recorded that step's decision, but the
-                # on_step observations (effects/chosen/fingerprints)
-                # stop one entry short — so a record doomed at its own
-                # deviated step may lack that fingerprint; skip the
-                # memo (less pruning, never wrong).
-                if memoize and prefix and len(record.fingerprints) >= len(prefix):
-                    node_state = record.fingerprints[len(prefix) - 1]
-                    known_depth = seen_states.get(node_state)
-                    if known_depth is not None and known_depth <= len(prefix):
-                        report.pruned_fingerprint += 1
-                        continue
-                    seen_states[node_state] = len(prefix)
-                if memoize:
-                    for depth, state in enumerate(record.fingerprints, start=1):
-                        seen_states.setdefault(state, depth)
-                    report.unique_states = len(seen_states)
-
-                if use_dpor:
-                    # Race-driven expansion, composed with the memo
-                    # prune above: open a node for every depth of this
-                    # run's path, then schedule only the source-set
-                    # backtracks the race scan demands (instead of every
-                    # runnable sibling, which is what the "sleep" branch
-                    # below does).
-                    horizon = min(
-                        depth_bound,
-                        len(record.trace),
-                        len(record.runnables),
-                        len(record.effects),
-                    )
-                    touches = (
-                        folder.first_touches(
-                            record.chosen, record.effects, horizon
-                        )
-                        if folder is not None
-                        else None
-                    )
-                    for depth in range(len(prefix), horizon):
-                        node_key = record.trace[:depth]
-                        node = nodes.get(node_key)
-                        if node is None:
-                            runnable = record.runnables[depth]
-                            live = (
-                                frozenset(
-                                    p
-                                    for p in folder.group_of
-                                    if touches.get(p, NEVER) >= depth
-                                )
-                                if folder is not None
-                                else _NO_LIVE
-                            )
-                            # Inherit the parent's sleep set plus its
-                            # other explored siblings, then wake every
-                            # sleeper the step into this node does not
-                            # commute with (a sleeper's own next effect
-                            # is unchanged until it is scheduled, so it
-                            # is read off this run).
-                            sleep: frozenset = _NO_LIVE
-                            parent = (
-                                nodes.get(node_key[:-1]) if depth else None
-                            )
-                            if parent is not None:
-                                executed = record.effects[depth - 1]
-                                prev_index = record.trace[depth - 1]
-                                sleepers = set(parent.sleep)
-                                for i in parent.done:
-                                    if i != prev_index and i < len(
-                                        parent.runnable
-                                    ):
-                                        sleepers.add(parent.runnable[i])
-                                if sleepers:
-                                    stepping = record.chosen[depth - 1]
-                                    sleepers.discard(stepping)
-                                    sleep = frozenset(
-                                        q
-                                        for q in sleepers
-                                        if (
-                                            pending := _next_effect_at(
-                                                record, depth - 1, q
-                                            )
-                                        )
-                                        is not None
-                                        and commutes(pending, executed)
-                                    )
-                            node = _DporNode(
-                                runnable=runnable,
-                                base_preemptions=(
-                                    record.cumulative_preemptions[depth]
-                                ),
-                                previous=(
-                                    record.chosen[depth - 1]
-                                    if depth > 0
-                                    else None
-                                ),
-                                live=live,
-                                sleep=sleep,
-                            )
-                            nodes[node_key] = node
-                            report.pruned_dpor += len(runnable) - 1
-                        node.done.add(record.trace[depth])
-                    races, requests = analyze_run(
-                        record.chosen, record.effects, horizon
-                    )
-                    report.races_detected += races
-                    for depth, cid in requests:
-                        node_key = record.trace[:depth]
-                        node = nodes.get(node_key)
-                        if node is None:
-                            continue
-                        runnable = node.runnable
-                        if folder is not None:
-                            canonical = folder.canonical(
-                                cid, runnable, node.live
-                            )
-                            if canonical != cid:
-                                report.pruned_symmetry += 1
-                                cid = canonical
-                        if cid in node.sleep:
-                            # Covered by an already-explored sibling
-                            # subtree (source-set sleep inheritance).
-                            report.pruned_sleep += 1
-                            continue
-                        try:
-                            index = runnable.index(cid)
-                        except ValueError:
-                            # The racing coroutine is blocked at the
-                            # deviation point (its guard depends on
-                            # state the race scan cannot see), so the
-                            # source set degenerates: conservatively
-                            # request every enabled coroutine here, the
-                            # classic disabled-process fallback of
-                            # dynamic partial-order reduction.
-                            for index in range(len(runnable)):
-                                if index in node.done:
-                                    continue
-                                other = runnable[index]
-                                switch_cost = (
-                                    1
-                                    if node.previous is not None
-                                    and other != node.previous
-                                    and node.previous in runnable
-                                    else 0
-                                )
-                                if (
-                                    node.base_preemptions + switch_cost
-                                    > preemption_bound
-                                ):
-                                    report.pruned_preemption += 1
-                                    node.done.add(index)
-                                    continue
-                                node.done.add(index)
-                                report.pruned_dpor -= 1
-                                frontier.append(node_key + (index,))
-                                if executor is not None:
-                                    executor.register_group(
-                                        node_key, [index]
-                                    )
-                            continue
-                        if index in node.done:
-                            continue
-                        previous = node.previous
-                        switch_cost = (
-                            1
-                            if previous is not None
-                            and cid != previous
-                            and previous in runnable
-                            else 0
-                        )
-                        if (
-                            node.base_preemptions + switch_cost
-                            > preemption_bound
-                        ):
-                            report.pruned_preemption += 1
-                            node.done.add(index)
-                            # Bounded-search completeness patch (the
-                            # conservative points of bounded partial-
-                            # order reduction): a race-derived backtrack
-                            # that busts the preemption budget may still
-                            # be coverable by deviating earlier. The
-                            # latest budget-feasible ancestor always
-                            # includes the path's own last context
-                            # switch (deviating there costs exactly the
-                            # switch the path already paid), so anchor
-                            # the request there instead of silently
-                            # dropping the class.
-                            for back in range(depth - 1, -1, -1):
-                                anchor = nodes.get(record.trace[:back])
-                                if anchor is None:
-                                    continue
-                                prev = anchor.previous
-                                cost = (
-                                    1
-                                    if prev is not None
-                                    and cid != prev
-                                    and prev in anchor.runnable
-                                    else 0
-                                )
-                                if (
-                                    anchor.base_preemptions + cost
-                                    > preemption_bound
-                                ):
-                                    continue
-                                acid = cid
-                                if folder is not None:
-                                    canonical = folder.canonical(
-                                        acid, anchor.runnable, anchor.live
-                                    )
-                                    if canonical != acid:
-                                        report.pruned_symmetry += 1
-                                        acid = canonical
-                                if acid in anchor.sleep:
-                                    report.pruned_sleep += 1
-                                    break
-                                try:
-                                    aindex = anchor.runnable.index(acid)
-                                except ValueError:
-                                    continue
-                                if aindex not in anchor.done:
-                                    anchor.done.add(aindex)
-                                    report.pruned_dpor -= 1
-                                    anchor_key = record.trace[:back]
-                                    frontier.append(anchor_key + (aindex,))
-                                    if executor is not None:
-                                        executor.register_group(
-                                            anchor_key, [aindex]
-                                        )
-                                break
-                            continue
-                        node.done.add(index)
-                        report.pruned_dpor -= 1
-                        frontier.append(node_key + (index,))
-                        if executor is not None:
-                            executor.register_group(node_key, [index])
-                    continue
-
-                # Expand: deviate from this run at every depth past the
-                # forced prefix, up to the bounds. ``effects`` (same
-                # length as ``chosen``) can be one entry shorter than
-                # ``trace``/``runnables`` on an early-exited run — see
-                # the memoization note above.
+            if use_dpor:
+                # Race-driven expansion, composed with the memo
+                # prune above: open a node for every depth of this
+                # run's path, then schedule only the source-set
+                # backtracks the race scan demands (instead of every
+                # runnable sibling, which is what the "sleep" branch
+                # below does).
                 horizon = min(
                     depth_bound,
                     len(record.trace),
                     len(record.runnables),
                     len(record.effects),
                 )
+                touches = (
+                    folder.first_touches(
+                        record.chosen, record.effects, horizon
+                    )
+                    if folder is not None
+                    else None
+                )
                 for depth in range(len(prefix), horizon):
-                    runnable = record.runnables[depth]
-                    chosen_index = record.trace[depth]
-                    explored_sigs: List[EffectSignature] = [record.effects[depth]]
-                    base_preemptions = record.cumulative_preemptions[depth]
-                    previous = record.chosen[depth - 1] if depth > 0 else None
-                    deviations: List[int] = []
-                    for index, cid in enumerate(runnable):
-                        if index == chosen_index:
-                            continue
-                        switch_cost = (
-                            1
-                            if previous is not None
-                            and cid != previous
-                            and previous in runnable
-                            else 0
+                    node_key = record.trace[:depth]
+                    node = nodes.get(node_key)
+                    if node is None:
+                        runnable = record.runnables[depth]
+                        live = (
+                            frozenset(
+                                p
+                                for p in folder.group_of
+                                if touches.get(p, NEVER) >= depth
+                            )
+                            if folder is not None
+                            else _NO_LIVE
                         )
-                        if base_preemptions + switch_cost > preemption_bound:
-                            report.pruned_preemption += 1
-                            continue
-                        if sleep_sets:
-                            pending = _next_effect_at(record, depth, cid)
-                            if pending is not None and all(
-                                commutes(pending, sig) for sig in explored_sigs
-                            ):
-                                report.pruned_sleep += 1
+                        # Inherit the parent's sleep set plus its
+                        # other explored siblings, then wake every
+                        # sleeper the step into this node does not
+                        # commute with (a sleeper's own next effect
+                        # is unchanged until it is scheduled, so it
+                        # is read off this run).
+                        sleep: frozenset = _NO_LIVE
+                        parent = (
+                            nodes.get(node_key[:-1]) if depth else None
+                        )
+                        if parent is not None:
+                            executed = record.effects[depth - 1]
+                            prev_index = record.trace[depth - 1]
+                            sleepers = set(parent.sleep)
+                            for i in parent.done:
+                                if i != prev_index and i < len(
+                                    parent.runnable
+                                ):
+                                    sleepers.add(parent.runnable[i])
+                            if sleepers:
+                                stepping = record.chosen[depth - 1]
+                                sleepers.discard(stepping)
+                                sleep = frozenset(
+                                    q
+                                    for q in sleepers
+                                    if (
+                                        pending := _next_effect_at(
+                                            record, depth - 1, q
+                                        )
+                                    )
+                                    is not None
+                                    and commutes(pending, executed)
+                                )
+                        node = _DporNode(
+                            runnable=runnable,
+                            base_preemptions=(
+                                record.cumulative_preemptions[depth]
+                            ),
+                            previous=(
+                                record.chosen[depth - 1]
+                                if depth > 0
+                                else None
+                            ),
+                            live=live,
+                            sleep=sleep,
+                        )
+                        nodes[node_key] = node
+                        report.pruned_dpor += len(runnable) - 1
+                    node.done.add(record.trace[depth])
+                races, requests = analyze_run(
+                    record.chosen, record.effects, horizon
+                )
+                report.races_detected += races
+                for depth, cid in requests:
+                    node_key = record.trace[:depth]
+                    node = nodes.get(node_key)
+                    if node is None:
+                        continue
+                    runnable = node.runnable
+                    if folder is not None:
+                        canonical = folder.canonical(
+                            cid, runnable, node.live
+                        )
+                        if canonical != cid:
+                            report.pruned_symmetry += 1
+                            cid = canonical
+                    if cid in node.sleep:
+                        # Covered by an already-explored sibling
+                        # subtree (source-set sleep inheritance).
+                        report.pruned_sleep += 1
+                        continue
+                    try:
+                        index = runnable.index(cid)
+                    except ValueError:
+                        # The racing coroutine is blocked at the
+                        # deviation point (its guard depends on
+                        # state the race scan cannot see), so the
+                        # source set degenerates: conservatively
+                        # request every enabled coroutine here, the
+                        # classic disabled-process fallback of
+                        # dynamic partial-order reduction.
+                        for index in range(len(runnable)):
+                            if index in node.done:
                                 continue
-                            if pending is not None:
-                                explored_sigs.append(pending)
-                        deviations.append(index)
-                    if deviations:
-                        parent_trace = record.trace[:depth]
-                        if executor is not None:
-                            executor.register_group(parent_trace, deviations)
-                        for index in deviations:
-                            frontier.append(parent_trace + (index,))
-    finally:
-        if executor is not None:
-            report.replayed_steps += executor.replayed_steps
-            report.shared_steps += executor.shared_steps
-            executor.close()
+                            other = runnable[index]
+                            switch_cost = (
+                                1
+                                if node.previous is not None
+                                and other != node.previous
+                                and node.previous in runnable
+                                else 0
+                            )
+                            if (
+                                node.base_preemptions + switch_cost
+                                > preemption_bound
+                            ):
+                                report.pruned_preemption += 1
+                                node.done.add(index)
+                                continue
+                            node.done.add(index)
+                            report.pruned_dpor -= 1
+                            frontier.append(node_key + (index,))
+                        continue
+                    if index in node.done:
+                        continue
+                    previous = node.previous
+                    switch_cost = (
+                        1
+                        if previous is not None
+                        and cid != previous
+                        and previous in runnable
+                        else 0
+                    )
+                    if (
+                        node.base_preemptions + switch_cost
+                        > preemption_bound
+                    ):
+                        report.pruned_preemption += 1
+                        node.done.add(index)
+                        # Bounded-search completeness patch (the
+                        # conservative points of bounded partial-
+                        # order reduction): a race-derived backtrack
+                        # that busts the preemption budget may still
+                        # be coverable by deviating earlier. The
+                        # latest budget-feasible ancestor always
+                        # includes the path's own last context
+                        # switch (deviating there costs exactly the
+                        # switch the path already paid), so anchor
+                        # the request there instead of silently
+                        # dropping the class.
+                        for back in range(depth - 1, -1, -1):
+                            anchor = nodes.get(record.trace[:back])
+                            if anchor is None:
+                                continue
+                            prev = anchor.previous
+                            cost = (
+                                1
+                                if prev is not None
+                                and cid != prev
+                                and prev in anchor.runnable
+                                else 0
+                            )
+                            if (
+                                anchor.base_preemptions + cost
+                                > preemption_bound
+                            ):
+                                continue
+                            acid = cid
+                            if folder is not None:
+                                canonical = folder.canonical(
+                                    acid, anchor.runnable, anchor.live
+                                )
+                                if canonical != acid:
+                                    report.pruned_symmetry += 1
+                                    acid = canonical
+                            if acid in anchor.sleep:
+                                report.pruned_sleep += 1
+                                break
+                            try:
+                                aindex = anchor.runnable.index(acid)
+                            except ValueError:
+                                continue
+                            if aindex not in anchor.done:
+                                anchor.done.add(aindex)
+                                report.pruned_dpor -= 1
+                                anchor_key = record.trace[:back]
+                                frontier.append(anchor_key + (aindex,))
+                            break
+                        continue
+                    node.done.add(index)
+                    report.pruned_dpor -= 1
+                    frontier.append(node_key + (index,))
+                continue
+
+            # Expand: deviate from this run at every depth past the
+            # forced prefix, up to the bounds. ``effects`` (same
+            # length as ``chosen``) can be one entry shorter than
+            # ``trace``/``runnables`` on an early-exited run — see
+            # the memoization note above.
+            horizon = min(
+                depth_bound,
+                len(record.trace),
+                len(record.runnables),
+                len(record.effects),
+            )
+            for depth in range(len(prefix), horizon):
+                runnable = record.runnables[depth]
+                chosen_index = record.trace[depth]
+                explored_sigs: List[EffectSignature] = [record.effects[depth]]
+                base_preemptions = record.cumulative_preemptions[depth]
+                previous = record.chosen[depth - 1] if depth > 0 else None
+                deviations: List[int] = []
+                for index, cid in enumerate(runnable):
+                    if index == chosen_index:
+                        continue
+                    switch_cost = (
+                        1
+                        if previous is not None
+                        and cid != previous
+                        and previous in runnable
+                        else 0
+                    )
+                    if base_preemptions + switch_cost > preemption_bound:
+                        report.pruned_preemption += 1
+                        continue
+                    pending = _next_effect_at(record, depth, cid)
+                    if pending is not None and all(
+                        commutes(pending, sig) for sig in explored_sigs
+                    ):
+                        report.pruned_sleep += 1
+                        continue
+                    if pending is not None:
+                        explored_sigs.append(pending)
+                    deviations.append(index)
+                if deviations:
+                    parent_trace = record.trace[:depth]
+                    for index in deviations:
+                        frontier.append(parent_trace + (index,))
     report.exhausted = not frontier and report.runs <= budget
     report.elapsed = time.perf_counter() - started
-    if not memoize:
-        report.unique_states = 0
     return report

@@ -14,8 +14,7 @@ a deterministic function of its seed list, so a campaign's findings are
 reproducible regardless of sharding, and violations are deduplicated by
 :meth:`repro.explore.scenarios.Violation.fingerprint` when shards
 report back. Throughput (runs/sec, aggregate and per shard) is part of
-the report — the fuzzer doubles as the simulator's throughput
-benchmark (``benchmarks/bench_explore.py``).
+the report.
 
 Schedulers here keep a *small* fairness bound. The quorum candidates
 under test promise safety only when correct processes keep taking

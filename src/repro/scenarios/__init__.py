@@ -10,8 +10,7 @@ derives its view from the same records:
   :class:`Scenario` specs and builder table;
 * ``repro.analysis`` derives its checker/monitor bindings and sweep
   grids from :mod:`repro.scenarios.bindings` /
-  :mod:`repro.scenarios.sweeps`, and the bench matrix pulls its
-  app-throughput cells from ``grid(consumer="bench")``;
+  :mod:`repro.scenarios.sweeps`;
 * corpus entries resolve their recorded scenario labels back through
   :func:`resolve_spec` on replay.
 

@@ -13,17 +13,15 @@ answered for every layer of the reproduction:
 * :class:`ScenarioRecord` — the declarative *registry record*: one
   record pins topology ``(n, f)``, implementation family, adversary
   behaviour and workload (inside the spec's params), engine, expected
-  verdict, and which consumers (campaign / explore / bench / smoke)
+  verdict, and which consumers (campaign / explore / smoke / net)
   include it. The family's oracle binding is resolved through
   :mod:`repro.scenarios.bindings`, so a record fully determines a
   runnable, checkable, differentially-judged scenario.
 * :func:`register` / :func:`resolve` / :func:`grid` — the registry API
   the consumers query: ``repro.campaign.default_matrix`` is a
   ``grid(consumer="campaign")`` call, the analysis CLI's ``scenarios``
-  subcommand lists ``all_records()``, the bench matrix pulls its
-  app-throughput cells from ``grid(consumer="bench")``, and corpus
-  entries resolve their historical scenario labels through
-  :func:`resolve_spec`.
+  subcommand lists ``all_records()``, and corpus entries resolve their
+  historical scenario labels through :func:`resolve_spec`.
 
 Import layering: this module sits *below* the builder modules (it
 imports only ``repro.errors``), so explore/campaign/analysis can all
@@ -60,10 +58,10 @@ ENGINES = ("swarm", "systematic", "live")
 REDUCTIONS = ("sleep", "dpor", "dpor+symmetry")
 
 #: The consumer axes a record can opt into. ``smoke`` is the bounded CI
-#: subset of ``campaign``; ``explore``/``bench`` mark the records the
-#: exploration CLI and the perf matrix draw from; ``net`` marks the
-#: live-network smoke cells the ``net`` CLI pins.
-CONSUMERS = ("campaign", "explore", "bench", "smoke", "net")
+#: subset of ``campaign``; ``explore`` marks the records the exploration
+#: CLI draws from; ``net`` marks the live-network smoke cells the ``net``
+#: CLI pins.
+CONSUMERS = ("campaign", "explore", "smoke", "net")
 
 #: Registry of scenario builders, keyed by spec name. Builders must be
 #: importable from worker processes (top level of their module) and

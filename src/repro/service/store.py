@@ -143,14 +143,14 @@ CREATE INDEX IF NOT EXISTS idx_replay_entry
 def default_db_path() -> Path:
     """The repository's local (gitignored) service database.
 
-    Lives next to the bench trajectory under ``benchmarks/_results`` so
-    verdict history accumulates across local runs and PR checkouts of
-    the same working tree; installed packages fall back to the current
-    directory, where callers should pass an explicit path.
+    Lives under ``.repro/`` at the repository root so verdict history
+    accumulates across local runs and PR checkouts of the same working
+    tree; installed packages fall back to the current directory, where
+    callers should pass an explicit path.
     """
     for parent in Path(__file__).resolve().parents:
         if (parent / "setup.py").exists() or (parent / ".git").exists():
-            return parent / "benchmarks" / "_results" / "service.db"
+            return parent / ".repro" / "service.db"
     return Path("service.db")
 
 

@@ -425,27 +425,6 @@ class TraceScheduler(Scheduler):
         trace.append(index)
         return choice
 
-    @property
-    def prefix(self) -> Tuple[int, ...]:
-        """The forced decision prefix this scheduler replays."""
-        return self._prefix
-
-    def extend_prefix(self, *indices: int) -> None:
-        """Append forced decisions to the prefix.
-
-        Used by the fork-based branch executor: a child process that
-        inherited a run suspended exactly at the end of the replayed
-        prefix appends its sibling's decision index and resumes — the
-        continuation then replays ``prefix + (index,)`` bit for bit.
-        Only legal while no fallback decision has been taken yet.
-        """
-        if len(self.trace) > len(self._prefix):
-            raise SchedulerError(
-                "cannot extend prefix: fallback decisions already taken "
-                f"({len(self.trace)} steps > {len(self._prefix)} forced)"
-            )
-        self._prefix = self._prefix + tuple(indices)
-
     def describe(self) -> str:
         return (
             f"TraceScheduler(prefix_len={len(self._prefix)}, "

@@ -62,7 +62,6 @@ def _differential(spec, *, depth, preemption, symmetry=(), budget=BUDGET):
             budget=budget,
             depth_bound=depth,
             preemption_bound=preemption,
-            prefix_sharing="replay",
             reduction=reduction,
             symmetry=symmetry if reduction == "dpor+symmetry" else (),
         )

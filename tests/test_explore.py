@@ -34,7 +34,6 @@ from repro.explore import (
     run_one_fuzz,
     shrink,
 )
-from repro.explore.forkexec import fork_available
 from repro.explore.fuzzer import SwarmScheduler, fuzz_scheduler
 
 #: Shared bounds: must find the f=1 violation and keep the control
@@ -137,16 +136,6 @@ class TestSystematicExplorer:
         assert report.pruned_sleep > 0
         assert report.unique_states > 0
 
-    def test_bfs_mode_also_finds_it(self):
-        report = explore(
-            make_scenario("theorem29", f=1),
-            budget=300,
-            mode="bfs",
-            stop_on_violation=True,
-            **BOUNDS,
-        )
-        assert report.violations, report.summary()
-
     def test_commutation_table(self):
         read_a, read_b = ("read", "x"), ("read", "y")
         write_a, write_b = ("write", "x"), ("write", "y")
@@ -159,153 +148,25 @@ class TestSystematicExplorer:
 
 
 # ----------------------------------------------------------------------
-# Fork-based prefix sharing
+# Node executor
 # ----------------------------------------------------------------------
-def _report_facts(report):
-    """Everything a search report asserts about the schedule space."""
-    return {
-        "runs": report.runs,
-        "steps": report.steps,
-        "states": report.states,
-        "unique_states": report.unique_states,
-        "incomplete": report.incomplete,
-        "pruned_fingerprint": report.pruned_fingerprint,
-        "pruned_sleep": report.pruned_sleep,
-        "pruned_preemption": report.pruned_preemption,
-        "exhausted": report.exhausted,
-        "violations": sorted(v.fingerprint() for v in report.violations),
-        "violation_traces": sorted(str(v.trace) for v in report.violations),
-    }
+class TestNodeExecutor:
+    @pytest.mark.parametrize("value", ["fork", "auto", "nope"])
+    def test_invalid_prefix_sharing_rejected(self, value):
+        # Only the replay executor exists; the removed fork/auto values
+        # must fail loudly instead of silently running replay.
+        with pytest.raises(ValueError, match="replay"):
+            explore(make_scenario("theorem29", f=1), prefix_sharing=value)
 
-
-@pytest.mark.skipif(not fork_available(), reason="needs os.fork")
-class TestForkPrefixSharing:
-    def test_fork_engine_matches_replay_engine(self):
-        # The load-bearing differential: both executors must drain the
-        # identical bounded tree — same states, prunes, and violations.
-        scenario = make_scenario("theorem29", f=1)
-        replay = explore(scenario, budget=100, prefix_sharing="replay", **BOUNDS)
-        forked = explore(scenario, budget=100, prefix_sharing="fork", **BOUNDS)
-        assert replay.engine == "replay" and forked.engine == "fork"
-        assert _report_facts(replay) == _report_facts(forked)
-
-    def test_fork_engine_matches_replay_on_bfs(self):
-        scenario = make_scenario("theorem29", f=1)
-        replay = explore(
-            scenario, budget=60, mode="bfs", prefix_sharing="replay", **BOUNDS
-        )
-        forked = explore(
-            scenario, budget=60, mode="bfs", prefix_sharing="fork", **BOUNDS
-        )
-        assert _report_facts(replay) == _report_facts(forked)
-
-    def test_sharing_counters_move(self):
+    def test_replay_is_accepted(self):
+        # The value the benchmark's certify workload passes.
         report = explore(
             make_scenario("theorem29", f=1),
-            budget=80,
-            prefix_sharing="fork",
-            **BOUNDS,
-        )
-        assert report.shared_steps > 0
-        assert report.replayed_steps > 0
-        # Singleton sibling groups (nothing to share) fall back to plain
-        # replay instead of paying the fork tax, and the replayed counter
-        # includes them — so sharing no longer dominates at small bounds;
-        # it just has to fire for every multi-sibling group.
-        assert "shared" in report.summary()
-
-    def test_replay_engine_reports_no_sharing(self):
-        report = explore(
-            make_scenario("theorem29", f=1),
-            budget=30,
+            budget=20,
             prefix_sharing="replay",
             **BOUNDS,
         )
-        assert report.shared_steps == 0
-        assert report.replayed_steps > 0
-
-    def test_stop_on_violation_cleans_up_speculative_children(self):
-        report = explore(
-            make_scenario("theorem29", f=1),
-            budget=300,
-            prefix_sharing="fork",
-            stop_on_violation=True,
-            **BOUNDS,
-        )
-        assert report.violations
-
-    def test_close_kills_and_reaps_unconsumed_children(self):
-        import os
-
-        from repro.explore.explorer import execute_trace
-        from repro.explore.forkexec import MISS, SKIPPED, BranchExecutor
-
-        scenario = make_scenario("theorem29", f=1)
-        base = execute_trace(scenario, (), depth_bound=14, fingerprints=True)
-        depth = 3
-        siblings = [
-            index
-            for index in range(len(base.runnables[depth]))
-            if index != base.trace[depth]
-        ][:2]
-        assert len(siblings) == 2
-        executor = BranchExecutor(scenario, 14)
-        parent = base.trace[:depth]
-        executor.register_group(parent, siblings)
-        fetched = executor.fetch(parent + (siblings[0],))
-        assert fetched is not MISS and fetched is not SKIPPED
-        # The second sibling was forked speculatively and never
-        # consumed; close() must kill and reap it (only the executor's
-        # own children — never a process-wide wait).
-        leftover = [entry[0] for entry in executor._pending.values() if entry]
-        assert leftover
-        executor.close()
-        assert not executor._pending
-        for pid in leftover:
-            with pytest.raises((ProcessLookupError, ChildProcessError)):
-                os.kill(pid, 0)
-                os.waitpid(pid, os.WNOHANG)
-
-    def test_invalid_prefix_sharing_rejected(self):
-        with pytest.raises(ValueError):
-            explore(make_scenario("theorem29", f=1), prefix_sharing="nope")
-
-    def test_memoize_off_matches_replay_engine(self):
-        # With memoization off neither engine may fingerprint: states
-        # stays 0 on both, and the reports still agree field for field.
-        scenario = make_scenario("theorem29", f=1)
-        replay = explore(
-            scenario, budget=40, memoize=False, prefix_sharing="replay", **BOUNDS
-        )
-        forked = explore(
-            scenario, budget=40, memoize=False, prefix_sharing="fork", **BOUNDS
-        )
-        assert replay.states == forked.states == 0
-        assert _report_facts(replay) == _report_facts(forked)
-
-    def test_child_crash_propagates_not_skips(self, monkeypatch):
-        # A scenario bug inside a forked sibling must fail the search
-        # loudly (as the replay engine would), not shrink the tree.
-        from repro.explore import explorer as explorer_mod
-        from repro.explore.forkexec import ForkChildError
-
-        original = explorer_mod.InstrumentedRun.finish
-
-        def crashing_finish(self):
-            if len(self.scheduler.prefix) >= 1:
-                raise ValueError("injected scenario bug")
-            return original(self)
-
-        monkeypatch.setattr(
-            explorer_mod.InstrumentedRun, "finish", crashing_finish
-        )
-        with pytest.raises(ForkChildError, match="injected scenario bug"):
-            explore(
-                make_scenario("theorem29", f=1),
-                budget=30,
-                prefix_sharing="fork",
-                **BOUNDS,
-            )
+        assert report.runs == 20
 
 
 # ----------------------------------------------------------------------

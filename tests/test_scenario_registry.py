@@ -172,6 +172,26 @@ class TestRoundTrips:
         with pytest.raises(ConfigurationError):
             grid(consumer="quantum")
 
+    @pytest.mark.parametrize(
+        "fingerprint, expect_violation",
+        [
+            ("7cc046eb81e8", False),  # fault-free load
+            ("692f1d31fccf", False),  # seeded chaos healed by retransmit
+            ("5dd48a26cb6f", True),  # quorum-starving partition
+        ],
+    )
+    def test_net_smoke_fingerprints_resolve_to_live_records(
+        self, fingerprint, expect_violation
+    ):
+        # The net-smoke CI job addresses its cells by these fingerprints;
+        # a catalog or consumer edit that moved one would orphan the job.
+        matches = [r for r in all_records() if r.fingerprint() == fingerprint]
+        assert len(matches) == 1, fingerprint
+        (record,) = matches
+        assert (record.family, record.engine) == ("net", "live")
+        assert "net" in record.consumers
+        assert record.expect_violation is expect_violation
+
 
 class TestCorpusResolution:
     """Historical corpus labels must resolve through the registry unchanged."""
@@ -353,6 +373,37 @@ class TestGrownMatrix:
         report = run_campaign([cell], shards=1, shrink_violations=False)
         assert report.ok, report.summary()
         assert report.runs == 3
+
+    def test_clean_app_cells_stay_clean_at_3f_plus_1(self):
+        # Every clean n = 3f + 1 smoke cell of the app and message-passing
+        # families, through the campaign runner at a small budget.
+        families = (
+            "snapshot",
+            "asset_transfer",
+            "broadcast",
+            "reliable_broadcast",
+            "mp_emulation",
+        )
+        records = [
+            record
+            for record in grid(
+                consumer="smoke", families=families, expect_violation=False
+            )
+            if record.n == 4
+        ]
+        assert {record.family for record in records} == set(families)
+        cells = [
+            CampaignCell(
+                implementation=record.family,
+                scenario=record.spec,
+                engine=record.engine,
+                budget=6,
+                expect_violation=False,
+            )
+            for record in records
+        ]
+        report = run_campaign(cells, shards=1, shrink_violations=False)
+        assert report.ok, report.summary()
 
     def test_asset_transfer_violating_cell_finds_the_double_spend(self):
         # The registry's violating boundary cell: the equivocating owner
