@@ -312,7 +312,8 @@ def _explore_main(argv: Sequence[str]) -> int:
         default="theorem29",
         help="what to explore: the Theorem 29 race (default), 'register' "
         "(randomized register workloads with adversary combinations), or "
-        "any scenario-registry record label — see `scenarios --list`",
+        "any scenario-registry record label (run under its pinned engine "
+        "only) — see `scenarios --list`",
     )
     parser.add_argument("--f", type=int, default=1, help="fault bound (theorem29)")
     parser.add_argument(
@@ -366,11 +367,15 @@ def _explore_main(argv: Sequence[str]) -> int:
         expect_violation: bool,
         reduction: str = "sleep",
         symmetry=(),
+        engines: Tuple[str, ...] = ("systematic", "swarm"),
     ) -> bool:
-        """Run both engines over ``scenarios``; returns found-violation."""
+        """Run ``engines`` over ``scenarios``; returns found-violation.
+
+        The systematic engine needs a single target scenario.
+        """
         target = scenarios[0] if len(scenarios) == 1 else None
         found = []
-        if target is not None:
+        if target is not None and "systematic" in engines:
             sys_report = explore(
                 target,
                 depth_bound=args.depth,
@@ -392,25 +397,26 @@ def _explore_main(argv: Sequence[str]) -> int:
                 )
             )
             found.extend(sys_report.violations)
-        fuzz_report = fuzz(
-            scenarios, budget=args.budget, shards=args.shards, seed0=args.seed
-        )
-        print(fuzz_report.summary())
-        rows.append(
-            (
-                phase,
-                f"swarm x{fuzz_report.shards}",
-                fuzz_report.runs,
-                round(fuzz_report.runs_per_sec),
-                "-",
-                len(fuzz_report.violations),
-                f"{sum(fuzz_report.violation_counts.values())} violating runs",
+        if "swarm" in engines:
+            fuzz_report = fuzz(
+                scenarios, budget=args.budget, shards=args.shards, seed0=args.seed
             )
-        )
-        known = {v.fingerprint() for v in found}
-        found.extend(
-            v for v in fuzz_report.violations if v.fingerprint() not in known
-        )
+            print(fuzz_report.summary())
+            rows.append(
+                (
+                    phase,
+                    f"swarm x{fuzz_report.shards}",
+                    fuzz_report.runs,
+                    round(fuzz_report.runs_per_sec),
+                    "-",
+                    len(fuzz_report.violations),
+                    f"{sum(fuzz_report.violation_counts.values())} violating runs",
+                )
+            )
+            known = {v.fingerprint() for v in found}
+            found.extend(
+                v for v in fuzz_report.violations if v.fingerprint() not in known
+            )
         for violation in found:
             print(f"  -> {violation.describe()}")
         if found and expect_violation and not args.no_shrink and target is not None:
@@ -486,9 +492,12 @@ def _explore_main(argv: Sequence[str]) -> int:
         return 0 if not found else 1
 
     # Anything else is a scenario-registry record label: one record
-    # pins both the scenario spec and the differential expectation to
-    # judge the findings by, so any registered cell is explorable
-    # without growing this parser.
+    # pins the scenario spec, the engine and the differential
+    # expectation to judge the findings by, so any registered cell is
+    # explorable without growing this parser. Like the campaign, run
+    # the record under its pinned engine only: swarm-pinned cells (the
+    # mp emulation's) keep protocol state the fingerprint memo of the
+    # systematic engine cannot see.
     from repro import scenarios as registry
     from repro.errors import ConfigurationError
 
@@ -496,6 +505,11 @@ def _explore_main(argv: Sequence[str]) -> int:
         record = registry.resolve(args.scenario)
     except ConfigurationError as exc:
         parser.error(str(exc))
+    if record.engine == "live":
+        parser.error(
+            f"{record.label()} runs on wall clocks; use "
+            f"`python -m repro.analysis net --cell {record.fingerprint()}`"
+        )
     expectation = "violation expected" if record.expect_violation else "must be clean"
     print(f"== registry record {record.label()} ({expectation}) ==")
     found = run_phase(
@@ -506,6 +520,7 @@ def _explore_main(argv: Sequence[str]) -> int:
         # deferred broadcast systematic cells require a dpor mode).
         reduction=args.reduction or record.reduction,
         symmetry=record.symmetry,
+        engines=(record.engine,),
     )
     print()
     print(

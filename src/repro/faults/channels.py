@@ -1,42 +1,44 @@
 """Retransmission channels: reliable links rebuilt over fair-lossy ones.
 
 The paper (and the [11] emulation in :mod:`repro.mp.swmr_emulation`)
-assumes reliable authenticated channels. Over a fair-lossy
-:class:`repro.faults.FaultyNetwork` that assumption breaks; this module
-rebuilds it with the classic mechanism:
+assumes reliable authenticated channels. Over a fair-lossy network —
+a :class:`repro.faults.FaultyNetwork` in virtual time, a chaos proxy
+on real sockets — that assumption breaks; this module rebuilds it with
+the classic mechanism:
 
 * every protocol payload is framed as ``("CH", seq, payload)`` with a
-  per-``(src, dst)`` sequence number;
+  per-destination sequence number;
 * the receiver **always acknowledges** a frame (``("CH-ACK", seq)``)
   and delivers the inner payload at most once (seqno dedup absorbs
   duplication and retransmit races);
 * the sender keeps unacknowledged frames pending and retransmits on a
-  virtual-time timeout with exponential backoff, up to ``max_retries``
-  attempts; exhaustion is surfaced in :attr:`RetransmitChannels.exhausted`
-  (a metric, not an exception — over a fair-lossy link exhaustion means
+  timeout with exponential backoff, up to ``max_retries`` attempts;
+  exhaustion is surfaced in :attr:`RetransmitChannels.exhausted` (a
+  metric, not an exception — over a fair-lossy link exhaustion means
   the retry budget was too small; over a partition it is expected).
 
 Fair-lossy links deliver any message retransmitted infinitely often, so
 with an adequate retry budget the framed channel is reliable and the
-emulation's quorum arguments go through unchanged. Nothing here is
-randomized: retransmit timing is a pure function of the virtual clock,
-so faulty runs stay replayable.
+emulation's quorum arguments go through unchanged.
+
+The class is sans-IO: it never reads a clock or touches a transport.
+Every timed entry point takes ``now`` (virtual steps or wall-clock
+seconds) and returns the frames to send. With ``jitter=0`` (the
+default) nothing is randomized and integer clocks give integer due
+times, so virtual-time runs stay replayable; live clusters shave seeded
+jitter off each backoff to desynchronize retransmit storms.
 
 Unframed payloads pass through :meth:`RetransmitChannels.on_receive`
-untouched, which lets channel-framed and bare traffic coexist during
-migration (and keeps Byzantine senders free to ignore the framing).
-
-The per-channel ``seen`` sets grow with the run; a production
-implementation would use cumulative acks — bounded runs make the simple
-set fine here.
+untouched, which lets channel-framed and bare traffic coexist (and
+keeps Byzantine senders free to ignore the framing).
 """
 
 from __future__ import annotations
 
+import random
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
-from repro.sim.effects import Send
 
 
 class _PendingFrame:
@@ -44,7 +46,7 @@ class _PendingFrame:
 
     __slots__ = ("dest", "seq", "payload", "due", "attempts")
 
-    def __init__(self, dest: int, seq: int, payload: Any, due: int):
+    def __init__(self, dest: int, seq: int, payload: Any, due: Any):
         self.dest = dest
         self.seq = seq
         self.payload = payload
@@ -52,44 +54,79 @@ class _PendingFrame:
         self.attempts = 0
 
 
-class RetransmitChannels:
-    """Reliable per-process-pair channels over a lossy network.
+class _Dedup:
+    """Delivered seqs from one sender: a contiguous prefix plus stragglers.
 
-    One instance serves every process of a system (mirroring
-    :class:`repro.mp.RegisterEmulation`'s per-pid state maps); all entry
-    points take the acting pid explicitly.
+    ``floor`` is the highest seq below which every frame has been
+    delivered; ``above`` holds the delivered seqs past a gap. In-order
+    traffic keeps ``above`` empty, so memory stays bounded by the
+    reordering window rather than by the run length.
+    """
+
+    __slots__ = ("floor", "above")
+
+    def __init__(self) -> None:
+        self.floor = 0
+        self.above: Set[int] = set()
+
+    def first_delivery(self, seq: int) -> bool:
+        """Record ``seq``; ``False`` if it was already delivered."""
+        if seq <= self.floor or seq in self.above:
+            return False
+        self.above.add(seq)
+        while self.floor + 1 in self.above:
+            self.floor += 1
+            self.above.discard(self.floor)
+        return True
+
+
+class RetransmitChannels:
+    """Reliable channels from one endpoint to every peer.
 
     Args:
-        system: The system whose clock paces retransmission.
-        base_timeout: Steps before the first retransmit of a frame.
+        pid: The owning endpoint's pid (seeds the jitter).
+        base_timeout: Time before the first retransmit of a frame.
             Should comfortably exceed the network round trip.
-        max_backoff: Cap on the doubling retransmit interval.
+        max_backoff: Cap on the doubling retransmit interval. Jitter is
+            applied downward, so no retransmit gap exceeds this cap —
+            the bound :class:`repro.faults.ProgressMonitor` validates
+            its stall window against.
         max_retries: Retransmit attempts before a frame is abandoned
             (counted in :attr:`exhausted`).
+        jitter: Fraction of each backoff randomly shaved off, from a
+            ``random.Random`` seeded with ``(seed, pid)``. ``0`` draws
+            nothing.
+        seed: Jitter seed.
     """
 
     def __init__(
         self,
-        system: Any,
-        base_timeout: int = 24,
-        max_backoff: int = 384,
+        pid: int,
+        base_timeout: Any = 24,
+        max_backoff: Any = 384,
         max_retries: int = 12,
+        jitter: float = 0.0,
+        seed: int = 0,
     ):
-        if base_timeout < 1 or max_backoff < base_timeout or max_retries < 0:
+        if base_timeout <= 0 or max_backoff < base_timeout or max_retries < 0:
             raise ConfigurationError(
                 f"bad channel timing: base_timeout={base_timeout}, "
                 f"max_backoff={max_backoff}, max_retries={max_retries}"
             )
-        self.system = system
+        if not 0.0 <= jitter < 1.0:
+            raise ConfigurationError(f"jitter must be in [0, 1), got {jitter}")
+        self.pid = pid
         self.base_timeout = base_timeout
         self.max_backoff = max_backoff
         self.max_retries = max_retries
-        #: Next sequence number per (src, dst).
-        self._next_seq: Dict[Tuple[int, int], int] = {}
-        #: Unacked frames per src: {(dst, seq): _PendingFrame}.
-        self._pending: Dict[int, Dict[Tuple[int, int], _PendingFrame]] = {}
-        #: Receiver-side dedup: (receiver, sender) -> delivered seqs.
-        self._seen: Dict[Tuple[int, int], Set[int]] = {}
+        self.jitter = jitter
+        self._rng = random.Random(f"net-channels:{seed}:{pid}") if jitter else None
+        #: Next sequence number per destination.
+        self._next_seq: Dict[int, int] = {}
+        #: Unacked frames: (dst, seq) -> _PendingFrame.
+        self._pending: Dict[Tuple[int, int], _PendingFrame] = {}
+        #: Receiver-side dedup per sender.
+        self._seen: Dict[int, _Dedup] = {}
         # Metrics.
         self.sent = 0
         self.retransmitted = 0
@@ -100,89 +137,86 @@ class RetransmitChannels:
     # ------------------------------------------------------------------
     # Sender side
     # ------------------------------------------------------------------
-    def send_effects(self, src: int, dst: int, payload: Any) -> List[Any]:
-        """Effects that send ``payload`` reliably from ``src`` to ``dst``."""
-        key = (src, dst)
-        seq = self._next_seq.get(key, 0) + 1
-        self._next_seq[key] = seq
-        frame = _PendingFrame(
-            dst, seq, payload, self.system.clock + self.base_timeout
+    def frame(self, dst: int, payload: Any, now: Any) -> Any:
+        """Frame ``payload`` for ``dst``; registers it for retransmission."""
+        seq = self._next_seq.get(dst, 0) + 1
+        self._next_seq[dst] = seq
+        self._pending[(dst, seq)] = _PendingFrame(
+            dst, seq, payload, now + self._interval(0)
         )
-        self._pending.setdefault(src, {})[(dst, seq)] = frame
         self.sent += 1
-        return [Send(dst, ("CH", seq, payload))]
+        return ("CH", seq, payload)
 
-    def broadcast_effects(self, src: int, payload: Any) -> List[Any]:
-        """Reliable broadcast: one channel send per destination ``1..n``."""
-        effects: List[Any] = []
-        for dst in range(1, self.system.n + 1):
-            effects.extend(self.send_effects(src, dst, payload))
-        return effects
-
-    def due_retransmits(self, src: int, now: int) -> List[Any]:
-        """Effects re-sending every overdue unacked frame of ``src``."""
-        pending = self._pending.get(src)
-        if not pending:
-            return []
-        effects: List[Any] = []
+    def due_retransmits(self, now: Any) -> List[Tuple[int, Any]]:
+        """``(dst, frame)`` for every overdue frame; abandons at the cap."""
+        out: List[Tuple[int, Any]] = []
         abandoned: List[Tuple[int, int]] = []
-        for key, frame in pending.items():
-            if frame.due > now:
+        for key, pending in self._pending.items():
+            if pending.due > now:
                 continue
-            frame.attempts += 1
-            if frame.attempts > self.max_retries:
+            pending.attempts += 1
+            if pending.attempts > self.max_retries:
                 abandoned.append(key)
                 continue
             self.retransmitted += 1
-            backoff = min(
-                self.base_timeout * (2 ** frame.attempts), self.max_backoff
-            )
-            frame.due = now + backoff
-            effects.append(Send(frame.dest, ("CH", frame.seq, frame.payload)))
+            pending.due = now + self._interval(pending.attempts)
+            out.append((pending.dest, ("CH", pending.seq, pending.payload)))
         for key in abandoned:
-            del pending[key]
+            del self._pending[key]
             self.exhausted += 1
-        return effects
+        return out
+
+    def drop_pending(self) -> None:
+        """Forget every unacked frame (they were volatile: a restart).
+
+        Sequence counters and dedup state survive, so peers never see a
+        reused sequence number.
+        """
+        self._pending.clear()
+
+    def _interval(self, attempts: int) -> Any:
+        backoff = min(self.base_timeout * (2 ** attempts), self.max_backoff)
+        if self.jitter:
+            backoff *= 1.0 - self.jitter * self._rng.random()
+        return backoff
 
     # ------------------------------------------------------------------
     # Receiver side
     # ------------------------------------------------------------------
     def on_receive(
-        self, pid: int, sender: int, payload: Any
+        self, sender: int, payload: Any
     ) -> Tuple[Optional[Any], List[Any]]:
-        """Unframe one inbound message.
+        """Unframe one inbound payload.
 
-        Returns ``(inner_payload, effects)``: ``inner_payload`` is the
-        deliverable protocol payload (``None`` for duplicates and pure
-        acks), ``effects`` the acknowledgement sends to emit. Payloads
-        that are not channel frames pass through unchanged.
+        Returns ``(inner, acks)``: ``inner`` is the deliverable protocol
+        payload (``None`` for duplicates and pure acks), ``acks`` the
+        raw payloads to send back to ``sender`` *outside* the channel
+        layer. Non-channel payloads pass through untouched.
         """
         if isinstance(payload, tuple) and len(payload) == 3 and payload[0] == "CH":
             _k, seq, inner = payload
-            if not isinstance(seq, int) or isinstance(seq, bool):
+            if not isinstance(seq, int) or isinstance(seq, bool) or seq < 1:
                 return None, []
             # Always ack — the previous ack may have been the lost leg.
-            effects: List[Any] = [Send(sender, ("CH-ACK", seq))]
-            seen = self._seen.setdefault((pid, sender), set())
-            if seq in seen:
+            acks: List[Any] = [("CH-ACK", seq)]
+            seen = self._seen.get(sender)
+            if seen is None:
+                seen = self._seen[sender] = _Dedup()
+            if not seen.first_delivery(seq):
                 self.duplicates_dropped += 1
-                return None, effects
-            seen.add(seq)
-            return inner, effects
+                return None, acks
+            return inner, acks
         if isinstance(payload, tuple) and len(payload) == 2 and payload[0] == "CH-ACK":
             _k, seq = payload
-            pending = self._pending.get(pid)
-            if pending is not None and pending.pop((sender, seq), None) is not None:
+            if self._pending.pop((sender, seq), None) is not None:
                 self.acked += 1
             return None, []
         return payload, []
 
     # ------------------------------------------------------------------
-    def pending_count(self, src: Optional[int] = None) -> int:
-        """Unacked frames of ``src`` (or of every process when omitted)."""
-        if src is not None:
-            return len(self._pending.get(src, ()))
-        return sum(len(frames) for frames in self._pending.values())
+    def pending_count(self) -> int:
+        """Frames sent but not yet acknowledged or abandoned."""
+        return len(self._pending)
 
     def metrics(self) -> Dict[str, int]:
         """Plain-dict channel counters for reports and tests."""
@@ -193,4 +227,6 @@ class RetransmitChannels:
             "duplicates_dropped": self.duplicates_dropped,
             "exhausted": self.exhausted,
             "pending": self.pending_count(),
+            # Dedup memory beyond the contiguous prefix (0 when in order).
+            "out_of_order": sum(len(seen.above) for seen in self._seen.values()),
         }

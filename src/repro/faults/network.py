@@ -186,19 +186,3 @@ class FaultyNetwork:
             "partitioned": self.partitioned,
             "suppressed_crash": self.suppressed_crash,
         }
-
-    def describe_suppression(self, now: int) -> str:
-        """One-line summary of what the plan is currently cutting."""
-        parts = [f"plan[{self.plan.describe()}]"]
-        crashed = self.plan.crashed_pids(now)
-        if crashed:
-            parts.append("down=" + ",".join(f"p{pid}" for pid in crashed))
-        if self.suppressed_links:
-            top = sorted(
-                self.suppressed_links.items(), key=lambda item: -item[1]
-            )[:4]
-            parts.append(
-                "cut="
-                + ",".join(f"{src}->{dst}:{count}" for (src, dst), count in top)
-            )
-        return " ".join(parts)

@@ -37,7 +37,7 @@ what makes faulty runs replayable and shrinkable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.fingerprint import digest64
@@ -248,3 +248,25 @@ class FaultPlan:
         parts.extend(partition.describe() for partition in self.partitions)
         parts.extend(crash.describe() for crash in self.crashes)
         return " ".join(parts) if parts else "no-faults"
+
+
+def describe_suppression(
+    plan: FaultPlan, suppressed_links: Mapping[Tuple[int, int], int], now: Any
+) -> str:
+    """One-line summary of what ``plan`` is cutting (STALLED diagnoses).
+
+    Shape: ``plan[...] down=p.. cut=src->dst:count,...`` — the plan,
+    the pids crashed at ``now``, and the four most-suppressed links of
+    ``suppressed_links`` (``(sender, dest) -> count``; ties keep
+    insertion order).
+    """
+    parts = [f"plan[{plan.describe()}]"]
+    crashed = plan.crashed_pids(now)
+    if crashed:
+        parts.append("down=" + ",".join(f"p{pid}" for pid in crashed))
+    if suppressed_links:
+        top = sorted(suppressed_links.items(), key=lambda item: -item[1])[:4]
+        parts.append(
+            "cut=" + ",".join(f"{src}->{dst}:{count}" for (src, dst), count in top)
+        )
+    return " ".join(parts)

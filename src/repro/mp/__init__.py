@@ -12,11 +12,8 @@ from repro.mp.adapter import (
 )
 from repro.mp.authenticated_broadcast import AuthenticatedBroadcast
 from repro.mp.network import Network, RandomDelayNetwork, ScriptedNetwork
-from repro.mp.swmr_emulation import (
-    EmulatedRegisterSpec,
-    RegisterEmulation,
-    ReplicaState,
-)
+from repro.mp.replica import EmulatedRegisterSpec, ReplicaState
+from repro.mp.swmr_emulation import RegisterEmulation
 
 __all__ = [
     "AuthenticatedBroadcast",

@@ -22,7 +22,7 @@ Caveats (documented in DESIGN.md's substitution notes):
 * The translation inherits the emulation's *channel* assumption: over
   the default reliable network nothing extra is needed, while over a
   fair-lossy :class:`repro.faults.FaultyNetwork` the emulation must be
-  constructed with ``channels=RetransmitChannels(...)`` — the adapter
+  constructed with one ``RetransmitChannels`` per pid — the adapter
   is transport-agnostic, so translated algorithms ride the retransmit
   layer without change.
 """

@@ -25,10 +25,15 @@ Protocol (echo-amplified quorum replication, in the spirit of [11]):
   with the highest ``seq``. It re-broadcasts the query until confirmation
   arrives.
 
+The protocol itself is the sans-IO :class:`repro.mp.replica.ReplicaState`
+(shared with the live runtime in :mod:`repro.net`); this module runs it
+in the simulator, turning each outbox into ``Send`` / ``Broadcast``
+effects (channel-framed when channels are installed).
+
 Mailbox discipline: each process's **replica daemon is the sole consumer
-of its mailbox**; it parses every inbound message and records
-client-relevant responses (ACKs, VALUE reports) into the process's
-:class:`ReplicaState`. Client operations (the :meth:`RegisterEmulation.write`
+of its mailbox**; it feeds every inbound message to the process's
+:class:`ReplicaState`, which records client-relevant responses (ACKs,
+VALUE reports). Client operations (the :meth:`RegisterEmulation.write`
 / :meth:`RegisterEmulation.read` generators) never touch the mailbox —
 they broadcast, then poll the shared state, which eliminates the classic
 two-readers-one-mailbox race.
@@ -47,9 +52,9 @@ paper's model, and where each one is discharged):
 * **Reliable channels** — [11] assumes them; the default network
   (:class:`repro.mp.RandomDelayNetwork`) provides them. Over a
   fair-lossy :class:`repro.faults.FaultyNetwork` the assumption is
-  rebuilt by passing ``channels=`` a
-  :class:`repro.faults.RetransmitChannels`: every protocol message is
-  then framed ``("CH", seq, payload)`` with ACK + seqno dedup +
+  rebuilt by passing ``channels=`` one
+  :class:`repro.faults.RetransmitChannels` per pid: every protocol
+  message is then framed ``("CH", seq, payload)`` with ACK + seqno dedup +
   backoff retransmission, and the replica daemon doubles as the
   channel pump (unframing inbound traffic, emitting due retransmits
   each loop). Without channels over a lossy network, liveness is
@@ -65,53 +70,14 @@ paper's model, and where each one is discharged):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.mp.replica import EmulatedRegisterSpec, Outbox, ReplicaState
 from repro.sim.effects import Broadcast, Pause, ReceiveAll, Send
 from repro.sim.process import Program
 from repro.sim.system import System
 from repro.sim.values import freeze
-
-
-@dataclass
-class EmulatedRegisterSpec:
-    """Static description of one emulated register."""
-
-    name: str
-    writer: int
-    initial: Any = None
-
-
-class ReplicaState:
-    """Per-process replica + client bookkeeping for all emulated registers."""
-
-    def __init__(self, specs: Dict[str, EmulatedRegisterSpec]):
-        #: Highest accepted (seq, value) per register.
-        self.accepted: Dict[str, Tuple[int, Any]] = {
-            name: (0, freeze(spec.initial)) for name, spec in specs.items()
-        }
-        #: Echo tallies: (register, seq, value) -> pids that echoed it.
-        self.echo_votes: Dict[Tuple[str, int, Any], Set[int]] = {}
-        #: Pairs this replica has itself echoed (echo at most once).
-        self.echoed: Set[Tuple[str, int, Any]] = set()
-        #: ACKs recorded for this process's own writes: (reg, seq) -> pids.
-        self.acks: Dict[Tuple[str, int], Set[int]] = {}
-        #: VALUE reports for this process's reads: (reg, rid) -> per-sender.
-        self.value_reports: Dict[Tuple[str, int], Dict[int, Tuple[int, Any]]] = {}
-        #: Monotone count of state *changes* (adoptions, fresh votes,
-        #: fresh acks, changed reports) — a progress signal; duplicate
-        #: or stale messages leave it untouched.
-        self.version = 0
-
-    def maybe_adopt(self, name: str, seq: int, value: Any) -> bool:
-        """Adopt ``(seq, value)`` if strictly newer; returns adoption."""
-        if seq > self.accepted[name][0]:
-            self.accepted[name] = (seq, value)
-            self.version += 1
-            return True
-        return False
 
 
 class RegisterEmulation:
@@ -120,12 +86,13 @@ class RegisterEmulation:
     Args:
         system: A system with a network installed (``system.network``).
         f: Fault bound the emulation is configured for.
-        channels: Optional :class:`repro.faults.RetransmitChannels`.
-            When given, every protocol message travels channel-framed
-            (ACK + dedup + retransmit) and the replica daemons pump the
-            channel layer — restoring the reliable-channel assumption
-            over a fair-lossy network. ``None`` keeps bare
-            ``Send``/``Broadcast`` (correct over reliable networks).
+        channels: Optional ``pid -> RetransmitChannels`` (one endpoint
+            per process). When given, every protocol message travels
+            channel-framed (ACK + dedup + retransmit) and the replica
+            daemons pump the channel layer — restoring the
+            reliable-channel assumption over a fair-lossy network.
+            ``None`` keeps bare ``Send``/``Broadcast`` (correct over
+            reliable networks).
 
     Usage: declare registers with :meth:`add_register`, spawn
     :meth:`replica_program` on every correct process, then run the
@@ -137,7 +104,7 @@ class RegisterEmulation:
         self,
         system: System,
         f: Optional[int] = None,
-        channels: Optional[Any] = None,
+        channels: Optional[Mapping[int, Any]] = None,
     ):
         if system.network is None:
             raise ConfigurationError("RegisterEmulation requires a network")
@@ -146,22 +113,26 @@ class RegisterEmulation:
         self.n = system.n
         self.channels = channels
         self._specs: Dict[str, EmulatedRegisterSpec] = {}
-        self._write_seq: Dict[str, int] = {}
-        self._read_id: Dict[int, int] = {}
         self._states: Dict[int, ReplicaState] = {}
 
-    # ------------------------------------------------------------------
-    # Transport: bare effects or channel-framed, decided once
-    # ------------------------------------------------------------------
-    def _send_effects(self, pid: int, dest: int, payload: Any) -> List[Any]:
-        if self.channels is not None:
-            return self.channels.send_effects(pid, dest, payload)
-        return [Send(dest, payload)]
+    def _effects(self, pid: int, outbox: Outbox) -> List[Any]:
+        """Simulator effects for one outbox.
 
-    def _broadcast_effects(self, pid: int, payload: Any) -> List[Any]:
-        if self.channels is not None:
-            return self.channels.broadcast_effects(pid, payload)
-        return [Broadcast(payload)]
+        Built eagerly, before the first is yielded, so every frame of a
+        batch is stamped with the same clock — recorded traces replay
+        only if retransmit due times stay where they were.
+        """
+        effects: List[Any] = []
+        if self.channels is None:
+            for dest, payload in outbox:
+                effects.append(Broadcast(payload) if dest is None else Send(dest, payload))
+            return effects
+        channel = self.channels[pid]
+        now = self.system.clock
+        for dest, payload in outbox:
+            for dst in range(1, self.n + 1) if dest is None else (dest,):
+                effects.append(Send(dst, channel.frame(dst, payload, now)))
+        return effects
 
     def progress_version(self) -> int:
         """Monotone counter of protocol-state changes across all replicas.
@@ -181,16 +152,15 @@ class RegisterEmulation:
         if self._states:
             raise ConfigurationError("cannot add registers after replicas started")
         self._specs[name] = EmulatedRegisterSpec(name, writer, freeze(initial))
-        self._write_seq[name] = 0
 
     def register_names(self) -> Tuple[str, ...]:
         """All declared emulated register names."""
         return tuple(self._specs)
 
     def state_of(self, pid: int) -> ReplicaState:
-        """The replica state of ``pid`` (created on first use)."""
+        """The replica of ``pid`` (created on first use)."""
         if pid not in self._states:
-            self._states[pid] = ReplicaState(self._specs)
+            self._states[pid] = ReplicaState(pid, self.n, self.f, self._specs)
         return self._states[pid]
 
     # ------------------------------------------------------------------
@@ -203,143 +173,36 @@ class RegisterEmulation:
         emits the process's due retransmits, and inbound traffic is
         unframed (acked / deduped) before protocol handling.
         """
-        state = self.state_of(pid)
-        channels = self.channels
+        replica = self.state_of(pid)
+        channel = self.channels[pid] if self.channels is not None else None
         while True:
             messages = yield ReceiveAll()
-            if channels is not None:
-                for effect in channels.due_retransmits(pid, self.system.clock):
-                    yield effect
+            if channel is not None:
+                for dst, frame in channel.due_retransmits(self.system.clock):
+                    yield Send(dst, frame)
             if not messages:
                 yield Pause()
                 continue
             for sender, payload in messages:
-                if channels is not None:
-                    payload, ack_effects = channels.on_receive(pid, sender, payload)
-                    for effect in ack_effects:
-                        yield effect
+                if channel is not None:
+                    payload, acks = channel.on_receive(sender, payload)
+                    for ack in acks:
+                        yield Send(sender, ack)
                     if payload is None:
                         continue
-                for effect in self._handle(pid, state, sender, payload):
+                for effect in self._effects(pid, replica.handle(sender, payload)):
                     yield effect
-
-    def _handle(
-        self, pid: int, state: ReplicaState, sender: int, payload: Any
-    ) -> List[Any]:
-        """Process one inbound message; returns effects to emit."""
-        out: List[Any] = []
-        if not isinstance(payload, tuple) or not payload:
-            return out
-        kind = payload[0]
-        if kind == "WRITE" and len(payload) == 4:
-            _k, name, seq, value = payload
-            spec = self._specs.get(name)
-            if (
-                spec is not None
-                and sender == spec.writer
-                and isinstance(seq, int)
-                and not isinstance(seq, bool)
-                and seq > 0
-            ):
-                state.maybe_adopt(name, seq, value)
-                key = (name, seq, value)
-                if key not in state.echoed:
-                    state.echoed.add(key)
-                    out.extend(self._broadcast_effects(pid, ("ECHO", name, seq, value)))
-                out.extend(self._send_effects(pid, spec.writer, ("ACK", name, seq)))
-        elif kind == "ECHO" and len(payload) == 4:
-            _k, name, seq, value = payload
-            if (
-                name in self._specs
-                and isinstance(seq, int)
-                and not isinstance(seq, bool)
-                and seq > 0
-            ):
-                key = (name, seq, value)
-                votes = state.echo_votes.setdefault(key, set())
-                if sender not in votes:
-                    votes.add(sender)
-                    state.version += 1
-                if len(votes) >= self.f + 1:
-                    state.maybe_adopt(name, seq, value)
-                    if key not in state.echoed:
-                        state.echoed.add(key)
-                        out.extend(
-                            self._broadcast_effects(pid, ("ECHO", name, seq, value))
-                        )
-        elif kind == "READ" and len(payload) == 3:
-            _k, name, rid = payload
-            if name in self._specs:
-                seq, value = state.accepted[name]
-                out.extend(
-                    self._send_effects(pid, sender, ("VALUE", name, rid, seq, value))
-                )
-        elif kind == "PULL" and len(payload) == 5:
-            _k, name, seq, value, wb_id = payload
-            if (
-                name in self._specs
-                and isinstance(seq, int)
-                and not isinstance(seq, bool)
-                and isinstance(wb_id, int)
-            ):
-                # Acknowledge only what this replica genuinely holds; a
-                # Byzantine reader cannot make a replica adopt anything
-                # through PULL (adoption still requires the writer or
-                # f + 1 echoes), so write-back is abuse-proof.
-                if state.accepted[name][0] >= seq:
-                    out.extend(
-                        self._send_effects(pid, sender, ("PULL-ACK", name, wb_id))
-                    )
-        elif kind == "PULL-ACK" and len(payload) == 3:
-            _k, name, wb_id = payload
-            if name in self._specs and isinstance(wb_id, int):
-                acks = state.acks.setdefault((name, -wb_id), set())
-                if sender not in acks:
-                    acks.add(sender)
-                    state.version += 1
-        elif kind == "ACK" and len(payload) == 3:
-            _k, name, seq = payload
-            if name in self._specs and isinstance(seq, int):
-                acks = state.acks.setdefault((name, seq), set())
-                if sender not in acks:
-                    acks.add(sender)
-                    state.version += 1
-        elif kind == "VALUE" and len(payload) == 5:
-            _k, name, rid, seq, value = payload
-            if (
-                name in self._specs
-                and isinstance(rid, int)
-                and isinstance(seq, int)
-                and not isinstance(seq, bool)
-            ):
-                reports = state.value_reports.setdefault((name, rid), {})
-                if reports.get(sender) != (seq, value):
-                    reports[sender] = (seq, value)
-                    state.version += 1
-        return out
 
     # ------------------------------------------------------------------
     # Client operations — broadcast, then poll the shared state
     # ------------------------------------------------------------------
     def write(self, pid: int, name: str, value: Any) -> Program:
         """Emulated ``write(value)``; returns when ``n - f`` replicas acked."""
-        spec = self._specs.get(name)
-        if spec is None:
-            raise ConfigurationError(f"unknown emulated register {name!r}")
-        if spec.writer != pid:
-            raise ConfigurationError(
-                f"p{pid} is not the writer of emulated register {name!r}"
-            )
-        self._write_seq[name] += 1
-        seq = self._write_seq[name]
-        value = freeze(value)
-        state = self.state_of(pid)
-        # The writer is also a replica: adopt and self-ack before sending.
-        state.maybe_adopt(name, seq, value)
-        state.acks.setdefault((name, seq), set()).add(pid)
-        for effect in self._broadcast_effects(pid, ("WRITE", name, seq, value)):
+        replica = self.state_of(pid)
+        seq, outbox = replica.start_write(name, freeze(value))
+        for effect in self._effects(pid, outbox):
             yield effect
-        while len(state.acks[(name, seq)]) < self.n - self.f:
+        while not replica.write_done(name, seq):
             yield Pause()
         return "done"
 
@@ -362,78 +225,48 @@ class RegisterEmulation:
         With ``write_back=True`` the reader additionally performs the
         [11]-style write-back round before returning: it broadcasts a
         ``PULL`` for the selected pair, replicas already holding it
-        re-echo (their echoes are trustworthy — a Byzantine reader
-        cannot trigger adoption of a value that never had ``f + 1``
-        echoes), and the reader waits until ``n - f`` replicas
-        acknowledge holding at least the selected sequence number. This
-        closes the new/old-inversion window between two non-overlapping
-        reads, strengthening regular semantics toward atomicity.
+        acknowledge (a Byzantine reader cannot trigger adoption of a
+        value that never had ``f + 1`` echoes), and the reader waits
+        until ``n - f`` replicas acknowledge holding at least the
+        selected sequence number. This closes the new/old-inversion
+        window between two non-overlapping reads, strengthening regular
+        semantics toward atomicity.
         """
-        if name not in self._specs:
-            raise ConfigurationError(f"unknown emulated register {name!r}")
-        self._read_id[pid] = self._read_id.get(pid, 0) + 1
-        rid = self._read_id[pid]
-        state = self.state_of(pid)
-        reports = state.value_reports.setdefault((name, rid), {})
-        reports[pid] = state.accepted[name]
-        for effect in self._broadcast_effects(pid, ("READ", name, rid)):
+        replica = self.state_of(pid)
+        rid, query = replica.start_read(name)
+        for effect in self._effects(pid, query):
             yield effect
-        polls = 0
-        interval = requery_every
-        next_requery = requery_every
-        while True:
-            # Refresh own report — the local replica may have adopted a
-            # newer pair since the read began.
-            if state.accepted[name][0] > reports[pid][0]:
-                reports[pid] = state.accepted[name]
-            confirmed = self._best_confirmed(reports)
-            if confirmed is not None:
-                break
-            polls += 1
-            if polls >= next_requery:
-                interval = min(interval * 2, requery_every * 16)
-                next_requery = polls + interval
-                for effect in self._broadcast_effects(pid, ("READ", name, rid)):
-                    yield effect
-            yield Pause()
-        seq, value = confirmed
+        yield from self._paced(
+            pid,
+            lambda: replica.read_confirmed(name, rid) is not None,
+            query,
+            requery_every,
+        )
+        seq, value = replica.read_confirmed(name, rid)
         if write_back and seq > 0:
-            yield from self._write_back(pid, name, seq, value, requery_every)
+            wb_id, pull = replica.start_write_back(name, seq, value)
+            for effect in self._effects(pid, pull):
+                yield effect
+            yield from self._paced(
+                pid,
+                lambda: replica.write_back_done(name, wb_id),
+                pull,
+                requery_every,
+            )
         return value
 
-    def _write_back(
-        self, pid: int, name: str, seq: int, value: Any, requery_every: int
+    def _paced(
+        self, pid: int, done: Callable[[], bool], outbox: Outbox, requery_every: int
     ) -> Program:
-        """Propagate ``(seq, value)`` to ``n - f`` replicas before returning."""
-        self._read_id[pid] = self._read_id.get(pid, 0) + 1
-        wb_id = self._read_id[pid]
-        state = self.state_of(pid)
-        acks = state.acks.setdefault((name, -wb_id), set())
-        acks.add(pid)
-        for effect in self._broadcast_effects(pid, ("PULL", name, seq, value, wb_id)):
-            yield effect
+        """Poll ``done``; re-send ``outbox`` on a doubling interval (<= 16x)."""
         polls = 0
         interval = requery_every
         next_requery = requery_every
-        while len(acks) < self.n - self.f:
+        while not done():
             polls += 1
             if polls >= next_requery:
                 interval = min(interval * 2, requery_every * 16)
                 next_requery = polls + interval
-                for effect in self._broadcast_effects(
-                    pid, ("PULL", name, seq, value, wb_id)
-                ):
+                for effect in self._effects(pid, outbox):
                     yield effect
             yield Pause()
-
-    def _best_confirmed(
-        self, reports: Dict[int, Tuple[int, Any]]
-    ) -> Optional[Tuple[int, Any]]:
-        """The highest-seq pair reported identically by ``f + 1`` replicas."""
-        tally: Dict[Tuple[int, Any], int] = {}
-        for pair in reports.values():
-            tally[pair] = tally.get(pair, 0) + 1
-        confirmed = [pair for pair, count in tally.items() if count >= self.f + 1]
-        if not confirmed:
-            return None
-        return max(confirmed, key=lambda pair: pair[0])

@@ -1,9 +1,12 @@
 """Live-network runtime: asyncio socket clusters with chaos injection.
 
-``repro.net`` deploys the [11]-style SWMR quorum emulation (the same
-protocol :mod:`repro.mp.swmr_emulation` model-checks in virtual time) as
-an n-process cluster on localhost TCP sockets, and rebuilds the whole
-PR 8 robustness story over wall clocks:
+``repro.net`` deploys the [11]-style SWMR quorum emulation as an
+n-process cluster on localhost TCP sockets. The protocol, retransmit
+channels and stall monitor are the sans-IO classes the simulator
+drives — :class:`repro.mp.ReplicaState`,
+:class:`repro.faults.RetransmitChannels` and
+:class:`repro.faults.ProgressMonitor` — fed here with sockets and the
+wall clock, so the live cluster runs the code the explorer certifies:
 
 * :mod:`repro.net.wire` — length-prefixed JSON framing shared by nodes,
   chaos proxies, and remote clients.
@@ -11,18 +14,10 @@ PR 8 robustness story over wall clocks:
   the unchanged :class:`repro.faults.FaultPlan` vocabulary (drop / dup /
   delay rules, timed group partitions, crash-stop with optional
   restart-and-recover) with seeded determinism per rule.
-* :mod:`repro.net.channels` — the wall-clock port of
-  :class:`repro.faults.RetransmitChannels`: ACK + seqno dedup,
-  exponential backoff with seeded jitter, bounded retries surfaced as
-  metrics.
-* :mod:`repro.net.monitor` — the wall-clock
-  :class:`repro.faults.ProgressMonitor`: a hung cluster becomes a
-  first-class ``STALLED`` verdict with a waiting-on/suppression
-  diagnosis instead of a hang.
-* :mod:`repro.net.node` — one cluster process: replica protocol
-  (WRITE/ECHO/ACK/READ/VALUE/PULL), client operations (read / write /
-  transfer / balance), crash-restart recovery, and a TCP server that
-  also speaks the remote-client request protocol.
+* :mod:`repro.net.node` — one cluster process: the replica on asyncio
+  (peer queues, a retransmit task), client operations
+  (read / write / transfer / balance), crash-restart recovery, and a
+  TCP server that also speaks the remote-client request protocol.
 * :mod:`repro.net.loadgen` — hundreds of concurrent clients driving
   read/write/transfer mixes in barrier-separated rounds, with latency
   and throughput percentiles.
@@ -31,14 +26,14 @@ PR 8 robustness story over wall clocks:
   format, checked by the unmodified Wing–Gong search through
   :class:`repro.spec.CheckContext`, and serialized as corpus-compatible
   JSON evidence the offline path re-checks byte-identically.
-* :mod:`repro.net.cluster` — orchestration: boot, chaos, load, verdict
-  (``CLEAN`` / ``VIOLATING`` / ``STALLED``).
+* :mod:`repro.net.cluster` — orchestration: boot, chaos, load, a
+  stall-monitor poll task, verdict (``CLEAN`` / ``VIOLATING`` /
+  ``STALLED``).
 
 The CLI lives in :mod:`repro.analysis.net`
 (``python -m repro.analysis net --serve/--load/--chaos/--check``).
 """
 
-from repro.net.channels import WallClockChannels
 from repro.net.chaos import ChaosClock, ChaosProxy
 from repro.net.cluster import (
     CLEAN,
@@ -50,7 +45,6 @@ from repro.net.cluster import (
     run_live,
 )
 from repro.net.loadgen import LoadGenerator, LoadStats
-from repro.net.monitor import WallClockProgressMonitor
 from repro.net.node import NetNode
 from repro.net.oracle import (
     EVIDENCE_KIND,
@@ -74,8 +68,6 @@ __all__ = [
     "LoadGenerator",
     "LoadStats",
     "NetNode",
-    "WallClockChannels",
-    "WallClockProgressMonitor",
     "check_evidence",
     "evidence_bytes",
     "run_live",

@@ -225,29 +225,3 @@ class ChaosProxy:
             "partitioned": self.partitioned,
             "suppressed_crash": self.suppressed_crash,
         }
-
-
-def describe_suppression(
-    plan: FaultPlan, proxies: Dict[int, ChaosProxy], now: int
-) -> str:
-    """One-line cluster-wide suppression summary (the STALLED diagnosis).
-
-    Same shape as :meth:`repro.faults.FaultyNetwork.describe_suppression`
-    — ``plan[...] down=... cut=src->dst:count`` — aggregated over every
-    proxy so the diagnosis names the starved links regardless of which
-    destination they starve.
-    """
-    parts = [f"plan[{plan.describe()}]"]
-    crashed = plan.crashed_pids(now)
-    if crashed:
-        parts.append("down=" + ",".join(f"p{pid}" for pid in crashed))
-    links: Dict[Tuple[int, int], int] = {}
-    for proxy in proxies.values():
-        for key, count in proxy.suppressed_links.items():
-            links[key] = links.get(key, 0) + count
-    if links:
-        top = sorted(links.items(), key=lambda item: -item[1])[:4]
-        parts.append(
-            "cut=" + ",".join(f"{src}->{dst}:{count}" for (src, dst), count in top)
-        )
-    return " ".join(parts)

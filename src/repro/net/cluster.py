@@ -3,8 +3,8 @@
 :class:`LiveCluster` composes the whole runtime:
 
 1. boot ``n`` :class:`~repro.net.node.NetNode` servers on localhost
-   (each with a :class:`~repro.net.channels.WallClockChannels` layer
-   when retransmission is on);
+   (each with a :class:`~repro.faults.RetransmitChannels` endpoint on
+   wall-clock seconds when retransmission is on);
 2. if the profile declares faults, stand a
    :class:`~repro.net.chaos.ChaosProxy` in front of every node and
    route all peer traffic through the proxies; crash faults are
@@ -12,8 +12,8 @@
    the crash time and (for crash-recovery windows) restarts it through
    its recovery protocol;
 3. drive the :class:`~repro.net.loadgen.LoadGenerator` round by round,
-   racing every round against the
-   :class:`~repro.net.monitor.WallClockProgressMonitor`'s stall event;
+   racing every round against a poll task that feeds the wall clock to
+   a :class:`~repro.faults.ProgressMonitor` and ends on its stall;
 4. at each round barrier, hand the round's history window to the
    online oracle (:mod:`repro.net.oracle`) and fold the verdicts.
 
@@ -27,15 +27,15 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StallDetected
+from repro.faults import ProgressMonitor, RetransmitChannels, describe_suppression
 from repro.faults.plan import FaultPlan
-from repro.net.chaos import ChaosClock, ChaosProxy, describe_suppression
-from repro.net.channels import WallClockChannels
+from repro.net.chaos import ChaosClock, ChaosProxy
 from repro.net.loadgen import LoadGenerator
-from repro.net.monitor import WallClockProgressMonitor
 from repro.net.node import NetNode
 from repro.net.oracle import LiveHistory, window_evidence, window_slices
 from repro.spec import CheckContext
@@ -44,6 +44,10 @@ from repro.spec.sequential import AssetTransferSpec, RegularRegisterSpec
 CLEAN = "CLEAN"
 VIOLATING = "VIOLATING"
 STALLED = "STALLED"
+
+#: Fraction of each retransmit backoff shaved off (seeded per node), so
+#: retransmit storms from n nodes desynchronize.
+_CHANNEL_JITTER = 0.25
 
 
 @dataclass(frozen=True)
@@ -158,6 +162,21 @@ class LiveRunReport:
         return "\n".join(lines)
 
 
+async def watch_progress(monitor: ProgressMonitor) -> None:
+    """Feed ``monitor`` the wall clock until it declares a stall.
+
+    Polls every twentieth of the window (at least 10ms); the task ends
+    when the monitor raises, leaving the diagnosis in ``monitor.stalled``.
+    """
+    poll = max(monitor.window / 20.0, 0.01)
+    while True:
+        try:
+            monitor.observe(time.monotonic())
+        except StallDetected:
+            return
+        await asyncio.sleep(poll)
+
+
 class LiveCluster:
     """One deployed localhost cluster plus its chaos/monitoring plumbing."""
 
@@ -185,11 +204,12 @@ class LiveCluster:
         for pid in range(1, profile.n + 1):
             channels = None
             if profile.retransmit:
-                channels = WallClockChannels(
+                channels = RetransmitChannels(
                     pid,
                     base_timeout=profile.base_timeout,
                     max_backoff=profile.max_backoff,
                     max_retries=profile.max_retries,
+                    jitter=_CHANNEL_JITTER,
                     seed=profile.fault_seed,
                 )
             node = NetNode(
@@ -263,20 +283,23 @@ class LiveCluster:
         return (
             self.history.responses,
             len(self.history),
-            sum(node.version for node in self.nodes),
+            sum(node.replica.version for node in self.nodes),
         )
 
-    def _build_monitor(self, loadgen: LoadGenerator) -> WallClockProgressMonitor:
-        suppression = None
-        if self.proxies:
-            suppression = lambda: describe_suppression(
-                self.plan, self.proxies, self.clock.now()
-            )
-        return WallClockProgressMonitor(
+    def _describe_suppression(self) -> str:
+        """The plan's cut, with suppressed links summed over every proxy."""
+        links: Dict[Tuple[int, int], int] = {}
+        for proxy in self.proxies.values():
+            for key, count in proxy.suppressed_links.items():
+                links[key] = links.get(key, 0) + count
+        return describe_suppression(self.plan, links, self.clock.now())
+
+    def _build_monitor(self, loadgen: LoadGenerator) -> ProgressMonitor:
+        return ProgressMonitor(
             self._signals,
             window=self.profile.window,
             describe_pending=loadgen.describe_pending,
-            describe_suppression=suppression,
+            describe_suppression=self._describe_suppression if self.proxies else None,
             channels=[n.channels for n in self.nodes if n.channels is not None],
         )
 
@@ -293,7 +316,7 @@ class LiveCluster:
             seed=profile.seed,
         )
         monitor = self._build_monitor(loadgen)
-        monitor.start()
+        watch = asyncio.ensure_future(watch_progress(monitor))
 
         anchors: Dict[str, Any] = {
             name: initial
@@ -310,9 +333,8 @@ class LiveCluster:
         try:
             for round_index in range(profile.rounds):
                 round_task = asyncio.ensure_future(loadgen.run_round())
-                stall_task = asyncio.ensure_future(monitor.stalled_event.wait())
                 done, _pending = await asyncio.wait(
-                    {round_task, stall_task},
+                    {round_task, watch},
                     return_when=asyncio.FIRST_COMPLETED,
                 )
                 if round_task not in done:
@@ -324,7 +346,6 @@ class LiveCluster:
                     verdict = STALLED
                     diagnosis = monitor.stalled
                     break
-                stall_task.cancel()
                 await round_task  # propagate real load errors loudly
                 rounds_completed += 1
                 boundaries.append(len(self.history.history))
@@ -337,7 +358,11 @@ class LiveCluster:
                     break
         finally:
             loadgen.stats.end()
-            await monitor.stop()
+            watch.cancel()
+            try:
+                await watch
+            except asyncio.CancelledError:
+                pass
 
         return LiveRunReport(
             label=profile.label,

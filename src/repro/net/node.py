@@ -1,10 +1,12 @@
 """One live cluster process: replica, client API, and TCP server.
 
-This is the wall-clock port of :class:`repro.mp.RegisterEmulation` — the
-same echo-amplified quorum protocol ([11]-style), the same message
-grammar (``WRITE`` / ``ECHO`` / ``ACK`` / ``READ`` / ``VALUE`` /
-``PULL`` / ``PULL-ACK``), running over real sockets instead of the
-cooperative scheduler:
+:class:`NetNode` runs the sans-IO replica :class:`repro.mp.ReplicaState`
+on asyncio — the same class the simulator's
+:class:`repro.mp.RegisterEmulation` runs, so the echo-amplified quorum
+protocol ([11]-style) and its message grammar exist once. The node maps
+each outbox to per-peer socket queues (framed by a
+:class:`repro.faults.RetransmitChannels` endpoint with a retransmit
+task), and waits on the replica's predicates with paced re-sends:
 
 * Every node is a replica for every emulated register, holding the
   highest accepted ``(seq, value)`` pair; adoption requires the
@@ -34,14 +36,16 @@ not a flood, is what turns it into a verdict.
 
 Crash faults: :meth:`stop` closes the server and drops all connection
 state (frames in flight are genuinely lost); :meth:`restart` models a
-*lose-state* restart — protocol state is reset and rebuilt by a
-recovery round that collects ``VALUE`` reports from ``n - f - 1``
+*lose-state* restart — the replica is replaced by a fresh one, rebuilt
+by a recovery round that collects ``VALUE`` reports from ``n - f - 1``
 *other* replicas per register and adopts the newest (with no Byzantine
 processes in the live runtime, ``n - f - 1 > f`` reporters always
 include one that saw every completed write). Until recovery finishes
-the node answers no ``READ``\\ s — silence is indistinguishable from
+the replica answers no ``READ``\\ s — silence is indistinguishable from
 slowness, so rejoining is safe; channel sequence counters survive the
-restart so the retransmit layer's dedup stays sound.
+restart so the retransmit layer's dedup stays sound. Because a restart
+swaps the replica object, every wait looks up :attr:`NetNode.replica`
+afresh rather than holding on to the old one.
 
 Processes trust the connection handshake to identify the sender — the
 authenticated-channels assumption, discharged on localhost. The live
@@ -55,8 +59,9 @@ import time
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
+from repro.faults.channels import RetransmitChannels
+from repro.mp.replica import EmulatedRegisterSpec, Outbox, ReplicaState
 from repro.net import wire
-from repro.net.channels import WallClockChannels
 
 #: How long a peer-writer backs off after a failed dial/send.
 _RECONNECT_PAUSE = 0.02
@@ -73,8 +78,9 @@ class NetNode:
             emulated register (identical on every node).
         history: Optional :class:`repro.net.oracle.LiveHistory`; client
             operations record invocation/response events into it.
-        channels: Optional :class:`WallClockChannels` — frame all
-            protocol traffic with ACK + dedup + retransmission.
+        channels: Optional :class:`RetransmitChannels` endpoint (on
+            wall-clock seconds) — frame all protocol traffic with ACK +
+            dedup + retransmission.
         accounts: Account pids of the asset-transfer object (each must
             have a ``led:P`` ledger register), or ``None``.
         initial_balance: Starting balance of every account.
@@ -89,7 +95,7 @@ class NetNode:
         f: int,
         registers: Dict[str, Tuple[int, Any]],
         history: Optional[Any] = None,
-        channels: Optional[WallClockChannels] = None,
+        channels: Optional[RetransmitChannels] = None,
         accounts: Optional[Tuple[int, ...]] = None,
         initial_balance: int = 0,
         requery: float = 0.05,
@@ -125,31 +131,17 @@ class NetNode:
         self._connections: Set[asyncio.StreamWriter] = set()
         self._cond = asyncio.Condition()
         self._notify_pending = False
-        self._recovered = asyncio.Event()
-        self._recovered.set()
         self._write_locks = {name: asyncio.Lock() for name in registers}
         self._transfer_lock = asyncio.Lock()
         #: Protocol frames delivered to this node (post-dedup traffic
         #: included; duplicates are dropped before this counts).
         self.delivered = 0
-        self._reset_protocol_state()
-
-    def _reset_protocol_state(self) -> None:
-        self.accepted: Dict[str, Tuple[int, Any]] = {
-            name: (0, wire.freeze(initial))
-            for name, (_writer, initial) in self.registers.items()
+        self._specs = {
+            name: EmulatedRegisterSpec(name, writer, wire.freeze(initial))
+            for name, (writer, initial) in self.registers.items()
         }
-        self.echo_votes: Dict[Tuple[str, int, Any], Set[int]] = {}
-        self.echoed: Set[Tuple[str, int, Any]] = set()
-        self.acks: Dict[Tuple[str, int], Set[int]] = {}
-        self.value_reports: Dict[Tuple[str, int], Dict[int, Tuple[int, Any]]] = {}
-        self._write_seq: Dict[str, int] = {name: 0 for name in self.registers}
-        self._read_id = 0
-        #: Monotone count of protocol-state changes (adoptions, fresh
-        #: votes/acks, changed reports) — the progress signal the
-        #: wall-clock monitor watches. Retransmissions and duplicates
-        #: do not move it.
-        self.version = 0
+        #: The protocol state; replaced wholesale by :meth:`restart`.
+        self.replica = ReplicaState(pid, n, f, self._specs)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -195,38 +187,19 @@ class NetNode:
         state stays consistent), but its pending frames do not — they
         were volatile.
         """
-        self._reset_protocol_state()
+        replica = self.replica = ReplicaState(self.pid, self.n, self.f, self._specs)
+        replica.recovering = True
         if self.channels is not None:
-            self.channels._pending.clear()
-        self._recovered.clear()
+            self.channels.drop_pending()
         await self.start()
-        await self._recover()
-        self._recovered.set()
-        self._notify()
-
-    async def _recover(self) -> None:
-        """Adopt, per register, the newest pair among n-f-1 other replicas."""
         for name in self.registers:
-            self._read_id += 1
-            rid = self._read_id
-            reports = self.value_reports.setdefault((name, rid), {})
-            query = ("READ", name, rid)
-            self._broadcast(query)
-
-            def others() -> List[Tuple[int, Any]]:
-                return [pair for sender, pair in reports.items() if sender != self.pid]
-
+            rid, query = replica.start_read(name)
+            self._emit(query)
             await self._paced_wait(
-                lambda: len(others()) >= self.n - self.f - 1,
-                lambda: self._broadcast(query),
+                lambda: replica.finish_recovery(name, rid), lambda: self._emit(query)
             )
-            best = max(others(), key=lambda pair: pair[0])
-            if best[0] > self.accepted[name][0]:
-                self.accepted[name] = best
-                self.version += 1
-            writer, _initial = self.registers[name]
-            if writer == self.pid:
-                self._write_seq[name] = max(self._write_seq[name], best[0])
+        replica.recovering = False
+        self._notify()
 
     # ------------------------------------------------------------------
     # Transport
@@ -239,15 +212,14 @@ class NetNode:
             payload = self.channels.frame(dst, payload, time.monotonic())
         self._enqueue(dst, payload)
 
-    def _send_raw(self, dst: int, payload: Any) -> None:
-        """Send outside the channel layer (channel ACKs must not recurse)."""
-        if dst == self.pid:
-            return
-        self._enqueue(dst, payload)
-
-    def _broadcast(self, payload: Any) -> None:
-        for dst in range(1, self.n + 1):
-            self._send(dst, payload)
+    def _emit(self, outbox: Outbox) -> None:
+        """Send one replica outbox (``None`` addresses every pid)."""
+        for dest, payload in outbox:
+            if dest is None:
+                for dst in range(1, self.n + 1):
+                    self._send(dst, payload)
+            else:
+                self._send(dest, payload)
 
     def _enqueue(self, dst: int, payload: Any) -> None:
         if not self._serving:
@@ -291,8 +263,8 @@ class NetNode:
         assert self.channels is not None
         while True:
             await asyncio.sleep(self.channels.base_timeout / 2)
-            for dst, payload in self.channels.due_retransmits(time.monotonic()):
-                self._enqueue(dst, payload)
+            for dst, frame in self.channels.due_retransmits(time.monotonic()):
+                self._enqueue(dst, frame)
 
     # ------------------------------------------------------------------
     # Inbound
@@ -331,14 +303,15 @@ class NetNode:
 
     def _deliver(self, sender: int, payload: Any, framed: bool) -> None:
         if framed and self.channels is not None:
+            # Channel ACKs go out unframed (acks must not recurse).
             inner, acks = self.channels.on_receive(sender, payload)
             for ack in acks:
-                self._send_raw(sender, ack)
+                self._enqueue(sender, ack)
             if inner is None:
                 return
             payload = inner
         self.delivered += 1
-        self._handle(sender, payload)
+        self._emit(self.replica.handle(sender, payload))
         self._notify()
 
     async def _client_session(
@@ -405,96 +378,6 @@ class NetNode:
             pass
 
     # ------------------------------------------------------------------
-    # Replica protocol (the virtual-time _handle, ported verbatim)
-    # ------------------------------------------------------------------
-    def _handle(self, sender: int, payload: Any) -> None:
-        if not isinstance(payload, tuple) or not payload:
-            return
-        kind = payload[0]
-        if kind == "WRITE" and len(payload) == 4:
-            _k, name, seq, value = payload
-            entry = self.registers.get(name)
-            if (
-                entry is not None
-                and sender == entry[0]
-                and isinstance(seq, int)
-                and not isinstance(seq, bool)
-                and seq > 0
-            ):
-                self._maybe_adopt(name, seq, value)
-                key = (name, seq, value)
-                if key not in self.echoed:
-                    self.echoed.add(key)
-                    self._broadcast(("ECHO", name, seq, value))
-                self._send(entry[0], ("ACK", name, seq))
-        elif kind == "ECHO" and len(payload) == 4:
-            _k, name, seq, value = payload
-            if (
-                name in self.registers
-                and isinstance(seq, int)
-                and not isinstance(seq, bool)
-                and seq > 0
-            ):
-                key = (name, seq, value)
-                votes = self.echo_votes.setdefault(key, set())
-                if sender not in votes:
-                    votes.add(sender)
-                    self.version += 1
-                if len(votes) >= self.f + 1:
-                    self._maybe_adopt(name, seq, value)
-                    if key not in self.echoed:
-                        self.echoed.add(key)
-                        self._broadcast(("ECHO", name, seq, value))
-        elif kind == "READ" and len(payload) == 3:
-            _k, name, rid = payload
-            # A recovering replica stays silent: its reset state could
-            # otherwise confirm a stale pair for some reader.
-            if name in self.registers and self._recovered.is_set():
-                seq, value = self.accepted[name]
-                self._send(sender, ("VALUE", name, rid, seq, value))
-        elif kind == "PULL" and len(payload) == 5:
-            _k, name, seq, value, wb_id = payload
-            if (
-                name in self.registers
-                and isinstance(seq, int)
-                and not isinstance(seq, bool)
-                and isinstance(wb_id, int)
-            ):
-                if self.accepted[name][0] >= seq:
-                    self._send(sender, ("PULL-ACK", name, wb_id))
-        elif kind == "PULL-ACK" and len(payload) == 3:
-            _k, name, wb_id = payload
-            if name in self.registers and isinstance(wb_id, int):
-                acks = self.acks.setdefault((name, -wb_id), set())
-                if sender not in acks:
-                    acks.add(sender)
-                    self.version += 1
-        elif kind == "ACK" and len(payload) == 3:
-            _k, name, seq = payload
-            if name in self.registers and isinstance(seq, int):
-                acks = self.acks.setdefault((name, seq), set())
-                if sender not in acks:
-                    acks.add(sender)
-                    self.version += 1
-        elif kind == "VALUE" and len(payload) == 5:
-            _k, name, rid, seq, value = payload
-            if (
-                name in self.registers
-                and isinstance(rid, int)
-                and isinstance(seq, int)
-                and not isinstance(seq, bool)
-            ):
-                reports = self.value_reports.setdefault((name, rid), {})
-                if reports.get(sender) != (seq, value):
-                    reports[sender] = (seq, value)
-                    self.version += 1
-
-    def _maybe_adopt(self, name: str, seq: int, value: Any) -> None:
-        if seq > self.accepted[name][0]:
-            self.accepted[name] = (seq, value)
-            self.version += 1
-
-    # ------------------------------------------------------------------
     # Waiting
     # ------------------------------------------------------------------
     def _notify(self) -> None:
@@ -539,33 +422,22 @@ class NetNode:
 
     async def write(self, name: str, value: Any, record: bool = True) -> str:
         """Emulated ``write``; returns once ``n - f`` replicas acked."""
-        entry = self.registers.get(name)
-        if entry is None:
-            raise ConfigurationError(f"unknown emulated register {name!r}")
-        if entry[0] != self.pid:
-            raise ConfigurationError(
-                f"p{self.pid} is not the writer of emulated register {name!r}"
-            )
+        self.replica.check_writer(name)
         async with self._write_locks[name]:
             op_id = self._invoke(name, "write", (value,)) if record else None
-            self._write_seq[name] += 1
-            seq = self._write_seq[name]
-            value = wire.freeze(value)
-            self._maybe_adopt(name, seq, value)
-            self.acks.setdefault((name, seq), set()).add(self.pid)
-            message = ("WRITE", name, seq, value)
-            self._broadcast(message)
-            # The ack set is looked up on every check (never captured):
-            # a crash-restart mid-wait resets the protocol dicts, and the
-            # paced rebroadcast then repopulates the *new* ones.
+            seq, outbox = self.replica.start_write(name, wire.freeze(value))
+            self._emit(outbox)
+            # The paced re-send repopulates a replica swapped in by a
+            # crash-restart mid-wait.
             await self._paced_wait(
-                lambda: len(self.acks.get((name, seq), ())) >= self.n - self.f,
-                lambda: self._broadcast(message),
+                lambda: self.replica.write_done(name, seq),
+                lambda: self._emit(outbox),
             )
             # A restart mid-wait may have recovered a lower write
             # counter than this in-flight sequence number; completing
             # below it would let the next write collide.
-            self._write_seq[name] = max(self._write_seq[name], seq)
+            write_seq = self.replica.write_seq
+            write_seq[name] = max(write_seq[name], seq)
             self._respond(op_id, "done")
         return "done"
 
@@ -573,59 +445,28 @@ class NetNode:
         self, name: str, record: bool = True, write_back: bool = True
     ) -> Any:
         """Emulated ``read``; a pair confirmed by ``f + 1``, written back."""
-        if name not in self.registers:
-            raise ConfigurationError(f"unknown emulated register {name!r}")
+        self.replica.spec(name)
         op_id = self._invoke(name, "read", ()) if record else None
         value = await self._read_inner(name, write_back=write_back)
         self._respond(op_id, value)
         return value
 
     async def _read_inner(self, name: str, write_back: bool = True) -> Any:
-        self._read_id += 1
-        rid = self._read_id
-        self.value_reports.setdefault((name, rid), {})[self.pid] = self.accepted[name]
-        query = ("READ", name, rid)
-        self._broadcast(query)
-        confirmed: Optional[Tuple[int, Any]] = None
-
-        def check() -> bool:
-            nonlocal confirmed
-            # Re-looked-up (not captured) so the wait survives a
-            # crash-restart resetting the protocol dicts mid-flight.
-            reports = self.value_reports.setdefault((name, rid), {})
-            own = reports.get(self.pid, (0, None))
-            if self.accepted[name][0] > own[0]:
-                reports[self.pid] = self.accepted[name]
-            confirmed = self._best_confirmed(reports)
-            return confirmed is not None
-
-        await self._paced_wait(check, lambda: self._broadcast(query))
-        seq, value = confirmed
-        if write_back and seq > 0:
-            await self._write_back(name, seq, value)
-        return value
-
-    async def _write_back(self, name: str, seq: int, value: Any) -> None:
-        self._read_id += 1
-        wb_id = self._read_id
-        self.acks.setdefault((name, -wb_id), set()).add(self.pid)
-        pull = ("PULL", name, seq, value, wb_id)
-        self._broadcast(pull)
+        rid, query = self.replica.start_read(name)
+        self._emit(query)
         await self._paced_wait(
-            lambda: len(self.acks.get((name, -wb_id), ())) >= self.n - self.f,
-            lambda: self._broadcast(pull),
+            lambda: self.replica.read_confirmed(name, rid) is not None,
+            lambda: self._emit(query),
         )
-
-    def _best_confirmed(
-        self, reports: Dict[int, Tuple[int, Any]]
-    ) -> Optional[Tuple[int, Any]]:
-        tally: Dict[Tuple[int, Any], int] = {}
-        for pair in reports.values():
-            tally[pair] = tally.get(pair, 0) + 1
-        confirmed = [pair for pair, count in tally.items() if count >= self.f + 1]
-        if not confirmed:
-            return None
-        return max(confirmed, key=lambda pair: pair[0])
+        seq, value = self.replica.read_confirmed(name, rid)
+        if write_back and seq > 0:
+            wb_id, pull = self.replica.start_write_back(name, seq, value)
+            self._emit(pull)
+            await self._paced_wait(
+                lambda: self.replica.write_back_done(name, wb_id),
+                lambda: self._emit(pull),
+            )
+        return value
 
     # ------------------------------------------------------------------
     # Asset transfer over ledger registers
@@ -701,7 +542,7 @@ class NetNode:
         out: Dict[str, Any] = {
             "pid": self.pid,
             "delivered": self.delivered,
-            "version": self.version,
+            "version": self.replica.version,
         }
         if self.channels is not None:
             out["channels"] = self.channels.metrics()

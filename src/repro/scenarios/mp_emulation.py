@@ -34,12 +34,15 @@ The pinned matrix cells (see :mod:`repro.scenarios.catalog`):
   *with* retransmit — ``STALLED`` (no partition side holds a quorum;
   retransmission cannot defeat a partition).
 
-Engine note: the cells run the swarm engine. Systematic exploration is
-*sound* here — the network heap folds into ``System.fingerprint`` — but
-the emulation's protocol state (:class:`repro.mp.ReplicaState`, channel
-tables) lives in Python objects the coroutine fingerprint abstracts to
-type names, so memoization would over-merge; swarm fuzzing does not
-fingerprint and is unaffected.
+Engine note: the cells run the swarm engine only — the campaign and
+the explore CLI both run a registry record under its pinned engine.
+Systematic exploration with the fingerprint memo would be unsound
+here: the network heap folds into ``System.fingerprint``, but the
+replica and channel state (:class:`repro.mp.ReplicaState`,
+:class:`repro.faults.RetransmitChannels`) lives in Python objects the
+coroutine fingerprint abstracts to type names, so memoization would
+merge states that differ. Swarm fuzzing does not fingerprint and is
+unaffected.
 """
 
 from __future__ import annotations
@@ -47,7 +50,13 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.faults import FaultPlan, FaultyNetwork, ProgressMonitor, RetransmitChannels
+from repro.faults import (
+    FaultPlan,
+    FaultyNetwork,
+    ProgressMonitor,
+    RetransmitChannels,
+    describe_suppression,
+)
 from repro.errors import StallDetected
 from repro.mp import RandomDelayNetwork, RegisterEmulation
 from repro.sim import OpCall, ScriptClient, System
@@ -85,7 +94,7 @@ def build_mp_register(
     ``faults`` tuple is a :class:`repro.faults.FaultPlan` spec applied
     via :class:`FaultyNetwork` over a :class:`RandomDelayNetwork`
     seeded with ``seed``; ``retransmit=True`` frames all protocol
-    traffic through :class:`RetransmitChannels`.
+    traffic through one :class:`RetransmitChannels` endpoint per pid.
 
     Identical ``(seed, fault_seed)`` pairs under identical schedules
     reproduce identical runs — fault draws are a pure function of the
@@ -104,7 +113,9 @@ def build_mp_register(
     else:
         network = inner
     system.network = network
-    channels = RetransmitChannels(system) if retransmit else None
+    channels = (
+        {pid: RetransmitChannels(pid) for pid in system.pids} if retransmit else None
+    )
     emu = RegisterEmulation(system, f=f, channels=channels)
     emu.add_register("r", writer=1, initial=0)
     for pid in system.pids:
@@ -154,8 +165,12 @@ def build_mp_register(
             parts.append(f"p{pid} {op}#{index + 1}/{len(calls)}")
         return ", ".join(parts) if parts else "none"
 
+    suppression = None
+    if faults:
+        suppression = lambda: describe_suppression(
+            network.plan, network.suppressed_links, system.clock
+        )
     monitor = ProgressMonitor(
-        system,
         signals=lambda: (
             network.delivered,
             system.metrics.responses,
@@ -163,15 +178,15 @@ def build_mp_register(
         ),
         window=stall_window,
         describe_pending=describe_pending,
-        network=network if network is not inner else None,
-        channels=channels,
+        describe_suppression=suppression,
+        channels=channels.values() if channels else (),
     )
     stall: Dict[str, str] = {}
 
     def goal() -> bool:
         if all(client.done for _pid, client, _calls in client_rows):
             return True
-        monitor.observe()
+        monitor.observe(system.clock)
         return False
 
     def drive() -> None:

@@ -20,9 +20,10 @@ from repro.faults import (
     FaultyNetwork,
     ProgressMonitor,
     RetransmitChannels,
+    describe_suppression,
 )
 from repro.mp import RandomDelayNetwork
-from repro.sim import RandomScheduler, Send
+from repro.sim import RandomScheduler
 
 
 LOSSY = (("drop", 0, 0, 0.25), ("dup", 0, 0, 0.1), ("delay", 0, 0, 0.15, 9))
@@ -223,169 +224,181 @@ class TestFaultyNetwork:
             FaultPlan.from_spec(WRITER_CUT + (("crash", 4, 0),)),
         )
         net.submit(1, 2, "x", now=0)
-        text = net.describe_suppression(0)
+        text = describe_suppression(net.plan, net.suppressed_links, 0)
         assert "plan[" in text and "down=p4" in text and "cut=1->2:1" in text
-
-
-class _ClockedSystem:
-    """The slice of System the channel/monitor layers consume."""
-
-    def __init__(self, n=3):
-        self.n = n
-        self.clock = 0
 
 
 class TestRetransmitChannels:
     def test_framing_and_sequence_numbers(self):
-        ch = RetransmitChannels(_ClockedSystem())
-        assert ch.send_effects(1, 2, "a") == [Send(2, ("CH", 1, "a"))]
-        assert ch.send_effects(1, 2, "b") == [Send(2, ("CH", 2, "b"))]
-        assert ch.send_effects(1, 3, "c") == [Send(3, ("CH", 1, "c"))]
-        assert ch.pending_count(1) == 3 and ch.sent == 3
+        ch = RetransmitChannels(1)
+        assert ch.frame(2, "a", now=0) == ("CH", 1, "a")
+        assert ch.frame(2, "b", now=0) == ("CH", 2, "b")
+        assert ch.frame(3, "c", now=0) == ("CH", 1, "c")
+        assert ch.pending_count() == 3 and ch.sent == 3
 
     def test_broadcast_is_one_channel_send_per_destination(self):
-        ch = RetransmitChannels(_ClockedSystem(n=3))
-        effects = ch.broadcast_effects(2, "hello")
-        assert [effect.to for effect in effects] == [1, 2, 3]
-        assert all(effect.payload == ("CH", 1, "hello") for effect in effects)
+        # A broadcast frames once per destination, each on its own
+        # sequence, so every link acks and retransmits independently.
+        ch = RetransmitChannels(2)
+        frames = [ch.frame(dst, "hello", now=0) for dst in (1, 2, 3)]
+        assert frames == [("CH", 1, "hello")] * 3
+        assert ch.pending_count() == 3
 
     def test_receiver_acks_and_dedups(self):
-        ch = RetransmitChannels(_ClockedSystem())
-        inner, effects = ch.on_receive(2, 1, ("CH", 1, "x"))
-        assert inner == "x" and effects == [Send(1, ("CH-ACK", 1))]
-        inner, effects = ch.on_receive(2, 1, ("CH", 1, "x"))
+        ch = RetransmitChannels(2)
+        inner, acks = ch.on_receive(1, ("CH", 1, "x"))
+        assert inner == "x" and acks == [("CH-ACK", 1)]
+        inner, acks = ch.on_receive(1, ("CH", 1, "x"))
         assert inner is None  # duplicate absorbed...
-        assert effects == [Send(1, ("CH-ACK", 1))]  # ...but re-acked
+        assert acks == [("CH-ACK", 1)]  # ...but re-acked
         assert ch.duplicates_dropped == 1
 
     def test_ack_clears_pending(self):
-        ch = RetransmitChannels(_ClockedSystem())
-        ch.send_effects(1, 2, "x")
-        inner, effects = ch.on_receive(1, 2, ("CH-ACK", 1))
-        assert inner is None and effects == []
-        assert ch.pending_count(1) == 0 and ch.acked == 1
+        ch = RetransmitChannels(1)
+        ch.frame(2, "x", now=0)
+        inner, acks = ch.on_receive(2, ("CH-ACK", 1))
+        assert inner is None and acks == []
+        assert ch.pending_count() == 0 and ch.acked == 1
         # A stray ack for nothing pending is harmless.
-        ch.on_receive(1, 2, ("CH-ACK", 99))
+        ch.on_receive(2, ("CH-ACK", 99))
         assert ch.acked == 1
 
+    def test_drop_pending_forgets_frames_but_not_sequence_numbers(self):
+        ch = RetransmitChannels(1)
+        ch.frame(2, "x", now=0)
+        ch.drop_pending()
+        assert ch.pending_count() == 0 and ch.due_retransmits(10_000) == []
+        assert ch.frame(2, "y", now=0) == ("CH", 2, "y")
+
     def test_retransmit_backoff_doubles_and_caps(self):
-        system = _ClockedSystem()
-        ch = RetransmitChannels(system, base_timeout=4, max_backoff=16, max_retries=10)
-        ch.send_effects(1, 2, "x")
-        assert ch.due_retransmits(1, now=3) == []
-        resend = ch.due_retransmits(1, now=4)
-        assert resend == [Send(2, ("CH", 1, "x"))]
-        frame = ch._pending[1][(2, 1)]
-        assert frame.due == 4 + 8  # base * 2^1
-        ch.due_retransmits(1, now=12)
-        assert frame.due == 12 + 16  # capped at max_backoff
-        ch.due_retransmits(1, now=28)
-        assert frame.due == 28 + 16  # stays at the cap
-        assert ch.retransmitted == 3
+        ch = RetransmitChannels(1, base_timeout=4, max_backoff=16, max_retries=10)
+        ch.frame(2, "x", now=0)
+        assert ch.due_retransmits(now=3) == []
+        assert ch.due_retransmits(now=4) == [(2, ("CH", 1, "x"))]
+        # Next due at 4 + 8 (base * 2^1), then + 16 (capped), then
+        # + 16 again (stays at the cap).
+        for quiet, due in ((11, 12), (27, 28), (43, 44)):
+            assert ch.due_retransmits(now=quiet) == []
+            assert ch.due_retransmits(now=due) == [(2, ("CH", 1, "x"))]
+        assert ch.retransmitted == 4
 
     def test_exhaustion_abandons_the_frame(self):
-        ch = RetransmitChannels(
-            _ClockedSystem(), base_timeout=1, max_backoff=1, max_retries=2
-        )
-        ch.send_effects(1, 2, "x")
+        ch = RetransmitChannels(1, base_timeout=1, max_backoff=1, max_retries=2)
+        ch.frame(2, "x", now=0)
         now = 0
         for _ in range(3):
             now += 10
-            ch.due_retransmits(1, now)
-        assert ch.exhausted == 1 and ch.pending_count(1) == 0
-        assert ch.due_retransmits(1, now + 10) == []
+            ch.due_retransmits(now)
+        assert ch.exhausted == 1 and ch.pending_count() == 0
+        assert ch.due_retransmits(now + 10) == []
 
     def test_unframed_payloads_pass_through(self):
-        ch = RetransmitChannels(_ClockedSystem())
-        assert ch.on_receive(2, 1, ("READ", "r", 7)) == (("READ", "r", 7), [])
-        assert ch.on_receive(2, 1, "bare") == ("bare", [])
+        ch = RetransmitChannels(2)
+        assert ch.on_receive(1, ("READ", "r", 7)) == (("READ", "r", 7), [])
+        assert ch.on_receive(1, "bare") == ("bare", [])
         # A malformed frame (non-int seq) is discarded, not crashed on.
-        assert ch.on_receive(2, 1, ("CH", "seq", "x")) == (None, [])
+        assert ch.on_receive(1, ("CH", "seq", "x")) == (None, [])
 
     def test_rejects_bad_timing(self):
         with pytest.raises(ConfigurationError):
-            RetransmitChannels(_ClockedSystem(), base_timeout=0)
+            RetransmitChannels(1, base_timeout=0)
         with pytest.raises(ConfigurationError):
-            RetransmitChannels(_ClockedSystem(), base_timeout=10, max_backoff=5)
+            RetransmitChannels(1, base_timeout=10, max_backoff=5)
         with pytest.raises(ConfigurationError):
-            RetransmitChannels(_ClockedSystem(), max_retries=-1)
+            RetransmitChannels(1, max_retries=-1)
+
+    def test_integer_clock_without_jitter_keeps_integer_due_times(self):
+        # Jitter 0 (the default) draws nothing, so the schedule is exact.
+        ch = RetransmitChannels(1, base_timeout=3, max_backoff=10)
+        ch.frame(2, "x", now=5)
+        resent = [now for now in range(60) if ch.due_retransmits(now)]
+        assert resent == [8, 14, 24, 34, 44, 54]
+
+    def test_dedup_state_stays_bounded_for_in_order_traffic(self):
+        ch = RetransmitChannels(2)
+        delivered = 0
+        for seq in range(1, 10_001):
+            copies = 2 if seq % 3 == 0 else 1
+            for _ in range(copies):
+                inner, acks = ch.on_receive(1, ("CH", seq, seq))
+                assert acks == [("CH-ACK", seq)]
+                delivered += inner is not None
+            if seq % 7 == 0:  # a late retransmit of an older frame
+                assert ch.on_receive(1, ("CH", seq - 5, seq - 5))[0] is None
+            assert ch.metrics()["out_of_order"] <= 1
+        assert delivered == 10_000
+        assert ch.duplicates_dropped == 10_000 // 3 + 10_000 // 7
+
+    def test_dedup_delivers_out_of_order_frames_exactly_once(self):
+        ch = RetransmitChannels(2)
+        order = [3, 1, 3, 5, 2, 1, 4, 5, 6]
+        delivered = [seq for seq in order if ch.on_receive(1, ("CH", seq, seq))[0]]
+        assert delivered == [3, 1, 5, 2, 4, 6]
+        assert ch.metrics()["out_of_order"] == 0
 
 
 class TestProgressMonitor:
     def test_progress_resets_the_window(self):
-        system = _ClockedSystem()
         counter = [0]
-        monitor = ProgressMonitor(system, signals=lambda: (counter[0],), window=10)
+        monitor = ProgressMonitor(signals=lambda: (counter[0],), window=10)
         for clock in range(0, 100, 5):
-            system.clock = clock
             counter[0] += 1  # progress every observation
-            monitor.observe()
+            monitor.observe(clock)
         assert monitor.stalled is None
 
     def test_stall_raises_with_diagnosis(self):
-        system = _ClockedSystem()
-
-        class _Net:
-            @staticmethod
-            def describe_suppression(now):
-                return f"plan[test] at {now}"
-
+        clock = [0]
         monitor = ProgressMonitor(
-            system,
             signals=lambda: (0,),
             window=10,
             describe_pending=lambda: "p1 write#1/2",
-            network=_Net(),
+            describe_suppression=lambda: f"plan[test] at {clock[0]}",
         )
-        monitor.observe()  # establish the baseline
-        system.clock = 10
+        monitor.observe(0)  # establish the baseline
+        clock[0] = 10
         with pytest.raises(StallDetected) as info:
-            monitor.observe()
+            monitor.observe(10)
         reason = info.value.reason
-        assert reason.startswith("STALLED: no progress for 10 steps")
+        assert reason.startswith("STALLED: no progress for 10 steps (clock=10)")
         assert "pending: p1 write#1/2" in reason
         assert "plan[test] at 10" in reason
         assert monitor.stalled == reason
 
     def test_rejects_bad_window(self):
         with pytest.raises(ConfigurationError):
-            ProgressMonitor(_ClockedSystem(), signals=lambda: (), window=0)
+            ProgressMonitor(signals=lambda: (), window=0)
 
     def test_rejects_window_within_channel_backoff(self):
         # The footgun: a stall window at or below the channels' capped
         # backoff reads every legitimate retransmit gap as a stall.
-        system = _ClockedSystem()
-        ch = RetransmitChannels(system, base_timeout=4, max_backoff=64)
+        ch = RetransmitChannels(1, base_timeout=4, max_backoff=64)
         with pytest.raises(ConfigurationError) as info:
-            ProgressMonitor(system, signals=lambda: (), window=64, channels=ch)
+            ProgressMonitor(signals=lambda: (), window=64, channels=[ch])
         assert "capped backoff" in str(info.value)
         # Strictly above the cap is fine, with or without channels.
-        ProgressMonitor(system, signals=lambda: (), window=65, channels=ch)
-        ProgressMonitor(system, signals=lambda: (), window=1, channels=None)
+        ProgressMonitor(signals=lambda: (), window=65, channels=[ch])
+        ProgressMonitor(signals=lambda: (), window=1)
 
     def test_abandonment_surfaces_as_metrics_plus_stall_not_a_hang(self):
         # A frame whose destination never acks (a partitioned peer) is
         # retransmitted up to max_retries, then abandoned: the exhaustion
         # is a counter, and the *monitor* converts the resulting silence
         # into the STALLED verdict — abandonment itself never raises.
-        system = _ClockedSystem()
-        ch = RetransmitChannels(
-            system, base_timeout=2, max_backoff=4, max_retries=3
-        )
+        ch = RetransmitChannels(1, base_timeout=2, max_backoff=4, max_retries=3)
         monitor = ProgressMonitor(
-            system,
             signals=lambda: (ch.acked, ch.duplicates_dropped),
             window=20,
             describe_pending=lambda: "p1 write#1/1",
-            channels=ch,
+            channels=[ch],
         )
-        ch.send_effects(1, 2, "x")
+        ch.frame(2, "x", now=0)
         stalled = None
+        clock = 0
         while stalled is None:
-            system.clock += 1
-            ch.due_retransmits(1, system.clock)
+            clock += 1
+            ch.due_retransmits(clock)
             try:
-                monitor.observe()
+                monitor.observe(clock)
             except StallDetected as exc:
                 stalled = exc.reason
         metrics = ch.metrics()

@@ -1,8 +1,9 @@
 """Tests for the message-passing substrate (repro.mp).
 
-Network models, the SWMR register emulation (tolerating f Byzantine
-replicas), the shared-memory-over-messages adapter, and the
-Srikanth–Toueg authenticated broadcast comparator.
+Network models, the sans-IO replica core driven directly, the SWMR
+register emulation (tolerating f Byzantine replicas), the
+shared-memory-over-messages adapter, and the Srikanth–Toueg
+authenticated broadcast comparator.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from repro.core import VerifiableRegister
 from repro.errors import ConfigurationError, NetworkError
 from repro.mp import (
     AuthenticatedBroadcast,
+    EmulatedRegisterSpec,
     RandomDelayNetwork,
     RegisterEmulation,
+    ReplicaState,
     ScriptedNetwork,
     declare_registers,
     translate,
@@ -133,6 +136,85 @@ class TestScriptedNetwork:
     def test_release_unknown_id(self):
         with pytest.raises(NetworkError):
             ScriptedNetwork().release(5)
+
+
+def replica(pid=2, n=4, f=1):
+    """A bare replica for register ``r`` written by p1 (no System, no sockets)."""
+    return ReplicaState(pid, n, f, {"r": EmulatedRegisterSpec("r", 1, 0)})
+
+
+class TestReplicaCore:
+    def test_write_from_a_non_writer_is_ignored(self):
+        rep = replica()
+        assert rep.handle(3, ("WRITE", "r", 1, 7)) == []
+        assert rep.accepted["r"] == (0, 0) and rep.version == 0
+        # The true writer's WRITE is adopted, echoed to all and acked.
+        assert rep.handle(1, ("WRITE", "r", 1, 7)) == [
+            (None, ("ECHO", "r", 1, 7)),
+            (1, ("ACK", "r", 1)),
+        ]
+        assert rep.accepted["r"] == (1, 7)
+
+    def test_bool_seq_is_rejected(self):
+        rep = replica()
+        for payload in (
+            ("WRITE", "r", True, 7),
+            ("ECHO", "r", True, 7),
+            ("PULL", "r", True, 7, 1),
+            ("VALUE", "r", 1, True, 7),
+        ):
+            assert rep.handle(1, payload) == []
+        assert rep.accepted["r"] == (0, 0)
+        assert rep.echo_votes == {} and rep.value_reports == {}
+
+    def test_f_echoes_do_not_adopt_and_f_plus_one_do(self):
+        rep = replica(f=1)
+        assert rep.handle(3, ("ECHO", "r", 1, 7)) == []
+        assert rep.accepted["r"] == (0, 0)  # f = 1 echo: one liar could send it
+        # A duplicate from the same sender is not a second vote.
+        assert rep.handle(3, ("ECHO", "r", 1, 7)) == []
+        assert rep.accepted["r"] == (0, 0)
+        assert rep.handle(4, ("ECHO", "r", 1, 7)) == [(None, ("ECHO", "r", 1, 7))]
+        assert rep.accepted["r"] == (1, 7)
+        # Echo amplification happens once per pair.
+        assert rep.handle(1, ("ECHO", "r", 1, 7)) == []
+
+    def test_pull_never_adopts(self):
+        rep = replica()
+        # A PULL for a pair this replica does not hold is neither acked
+        # nor adopted: write-back cannot plant a value.
+        assert rep.handle(3, ("PULL", "r", 5, 99, 1)) == []
+        assert rep.accepted["r"] == (0, 0) and rep.version == 0
+        rep.handle(1, ("WRITE", "r", 5, 42))
+        assert rep.handle(3, ("PULL", "r", 5, 99, 2)) == [(3, ("PULL-ACK", "r", 2))]
+        assert rep.accepted["r"] == (5, 42)
+
+    def test_recovering_replica_answers_no_read(self):
+        rep = replica()
+        rep.recovering = True
+        assert rep.handle(3, ("READ", "r", 1)) == []
+        rep.recovering = False
+        assert rep.handle(3, ("READ", "r", 1)) == [(3, ("VALUE", "r", 1, 0, 0))]
+
+    def test_client_round_trip(self):
+        writer = replica(pid=1)
+        seq, outbox = writer.start_write("r", 7)
+        assert (seq, outbox) == (1, [(None, ("WRITE", "r", 1, 7))])
+        assert not writer.write_done("r", 1)
+        writer.handle(2, ("ACK", "r", 1))
+        writer.handle(3, ("ACK", "r", 1))
+        assert writer.write_done("r", 1)  # self + 2 = n - f
+        reader = replica(pid=2)
+        rid, query = reader.start_read("r")
+        assert query == [(None, ("READ", "r", rid))]
+        reader.handle(3, ("VALUE", "r", rid, 1, 7))
+        assert reader.read_confirmed("r", rid) is None  # one report
+        reader.handle(4, ("VALUE", "r", rid, 1, 7))
+        assert reader.read_confirmed("r", rid) == (1, 7)
+        with pytest.raises(ConfigurationError):
+            reader.start_write("r", 8)
+        with pytest.raises(ConfigurationError):
+            reader.start_read("nope")
 
 
 class TestRegisterEmulation:

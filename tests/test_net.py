@@ -1,10 +1,11 @@
 """Tests for the live-network runtime (repro.net).
 
-Wire framing, the wall-clock retransmit channels and progress monitor,
-the asyncio socket cluster end to end (fault-free, under seeded chaos,
-under a quorum-starving partition, and through a crash-restart), the
-online oracle's corpus-compatible evidence with its byte-identical
-offline re-check, and the registry/CLI integration of the net family.
+Wire framing, the retransmit channels and progress monitor on wall-clock
+seconds, the asyncio socket cluster end to end (fault-free, under
+seeded chaos, under a quorum-starving partition, and through a
+crash-restart), the online oracle's corpus-compatible evidence with its
+byte-identical offline re-check, and the registry/CLI integration of
+the net family.
 
 Everything here runs real localhost TCP sockets on wall clocks, so the
 cluster tests use deliberately small profiles; the pinned smoke cells
@@ -20,19 +21,19 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError, NetworkError
+from repro.faults import ProgressMonitor, RetransmitChannels
 from repro.net import (
     CLEAN,
     STALLED,
     LiveCluster,
     LiveProfile,
-    WallClockChannels,
-    WallClockProgressMonitor,
     check_evidence,
     evidence_bytes,
     run_live,
     window_evidence,
 )
 from repro.net import wire
+from repro.net.cluster import watch_progress
 from repro.spec import CheckContext
 
 
@@ -84,12 +85,19 @@ class TestWire:
 
 
 # ----------------------------------------------------------------------
-# Wall-clock retransmit channels
+# Retransmit channels on wall-clock seconds (the live configuration)
 # ----------------------------------------------------------------------
+def wall_clock_channels(pid, **overrides):
+    """The shared channel class with the live cluster's timing shape."""
+    params = dict(base_timeout=0.05, max_backoff=0.8, jitter=0.25)
+    params.update(overrides)
+    return RetransmitChannels(pid, **params)
+
+
 class TestWallClockChannels:
     def test_framing_dedup_and_always_ack(self):
-        sender = WallClockChannels(pid=1)
-        receiver = WallClockChannels(pid=2)
+        sender = wall_clock_channels(1)
+        receiver = wall_clock_channels(2)
         framed = sender.frame(2, ("WRITE", "r", 1, 7), now=0.0)
         inner, acks = receiver.on_receive(1, framed)
         assert inner == ("WRITE", "r", 1, 7) and acks == [("CH-ACK", 1)]
@@ -102,18 +110,17 @@ class TestWallClockChannels:
         assert sender.pending_count() == 0
 
     def test_backoff_caps_and_jitter_stays_below_the_cap(self):
-        ch = WallClockChannels(
-            pid=1, base_timeout=0.05, max_backoff=0.4, jitter=0.25, seed=3
-        )
+        ch = wall_clock_channels(1, max_backoff=0.4, seed=3)
         intervals = [ch._interval(attempts) for attempts in range(12)]
         assert all(0 < interval <= 0.4 for interval in intervals)
         # Jitter is downward-only, so the cap is a true upper bound and
         # the first interval never exceeds the base timeout.
         assert intervals[0] <= 0.05
+        assert len(set(intervals[4:])) > 1  # capped, yet still jittered
 
     def test_abandonment_is_a_metric_not_an_exception(self):
-        ch = WallClockChannels(
-            pid=1, base_timeout=0.01, max_backoff=0.01, max_retries=2
+        ch = wall_clock_channels(
+            1, base_timeout=0.01, max_backoff=0.01, max_retries=2
         )
         ch.frame(2, "x", now=0.0)
         now, resends = 0.0, 0
@@ -126,46 +133,44 @@ class TestWallClockChannels:
 
     def test_rejects_bad_timing(self):
         with pytest.raises(ConfigurationError):
-            WallClockChannels(pid=1, base_timeout=0.0)
+            wall_clock_channels(1, base_timeout=0.0)
         with pytest.raises(ConfigurationError):
-            WallClockChannels(pid=1, base_timeout=0.2, max_backoff=0.1)
+            wall_clock_channels(1, base_timeout=0.2, max_backoff=0.1)
         with pytest.raises(ConfigurationError):
-            WallClockChannels(pid=1, jitter=1.5)
+            wall_clock_channels(1, jitter=1.5)
 
 
 # ----------------------------------------------------------------------
-# Wall-clock progress monitor
+# The progress monitor on the wall clock, through the cluster's poll task
 # ----------------------------------------------------------------------
 class TestWallClockProgressMonitor:
     def test_rejects_window_within_channel_backoff(self):
-        ch = WallClockChannels(pid=1, base_timeout=0.05, max_backoff=0.8)
+        ch = wall_clock_channels(1, max_backoff=0.8)
         with pytest.raises(ConfigurationError) as info:
-            WallClockProgressMonitor(
-                signals=lambda: (), window=0.8, channels=(ch,)
-            )
+            ProgressMonitor(signals=lambda: (), window=0.8, channels=(ch,))
         assert "capped backoff" in str(info.value)
-        WallClockProgressMonitor(signals=lambda: (), window=0.81, channels=(ch,))
+        ProgressMonitor(signals=lambda: (), window=0.81, channels=(ch,))
 
     def test_stall_fires_with_diagnosis_and_progress_defers_it(self):
         async def go():
             counter = [0]
-            monitor = WallClockProgressMonitor(
+            monitor = ProgressMonitor(
                 signals=lambda: (counter[0],),
                 window=0.1,
                 describe_pending=lambda: "c0 write(reg:1) 0.1s",
                 describe_suppression=lambda: "plan[test]",
             )
-            monitor.start()
+            watch = asyncio.ensure_future(watch_progress(monitor))
             try:
                 # Progress keeps the window open...
                 for _ in range(3):
                     counter[0] += 1
                     await asyncio.sleep(0.05)
-                assert not monitor.stalled_event.is_set()
+                assert not watch.done()
                 # ...silence closes it.
-                await asyncio.wait_for(monitor.stalled_event.wait(), 2.0)
+                await asyncio.wait_for(watch, 2.0)
             finally:
-                await monitor.stop()
+                watch.cancel()
             return monitor.stalled
 
         stalled = asyncio.run(go())
