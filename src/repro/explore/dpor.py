@@ -14,8 +14,9 @@ one linear scan with vector clocks.
 This module is the analysis half of the explorer's ``reduction="dpor"``
 modes; it deliberately knows nothing about frontiers or budgets:
 
-* :func:`analyze_run` scans one executed run and returns the detected
-  races together with *backtrack requests*: for each race ``(i, j)``
+* :class:`RaceScan` scans one run step by step, online, and
+  :func:`analyze_run` feeds it a recorded run; either returns the
+  detected races together with *backtrack requests*: for each race ``(i, j)``
   the coroutine whose scheduling at the pre-state of step ``i`` starts
   reversing the race. Following the source-set refinement of optimal
   DPOR (Abdulla–Aronis–Jonsson–Sagonas 2014), the requested coroutine
@@ -55,10 +56,22 @@ missed.
 
 **Bounded windows.** The explorer only *controls* the first
 ``depth_bound`` decisions; beyond them every run finishes under a fixed
-round-robin completion tail. ``analyze_run`` therefore only emits
-requests for races whose first step lies inside that window — a race
+round-robin completion tail. The scan therefore only emits requests
+for races whose first step lies inside that window — a race
 materializing entirely in the tail has no controllable pre-state to
-backtrack to. This is where the reduction is genuinely weaker than the
+backtrack to. The same rule lets the scan stop early. It reaches
+*happens-before closure* once every in-window step happens-before the
+latest step of every coroutine still alive; a retired coroutine never
+steps again and drops out, and a live one that has not stepped yet
+keeps the scan open. Each later step starts from its own coroutine's
+previous clock, which then already covers the whole window, so the
+happens-before test orders every in-window candidate before it and no
+reversible race can appear. A race found before closure picks its
+backtrack winner among the steps between its two racing steps, all of
+them scanned, so the requests at closure equal those of a scan over the
+whole run, in the same order. The explorer's recorder detaches at
+closure and the rest of the run takes the kernel's uninstrumented path.
+The window is also where the reduction is genuinely weaker than the
 sleep baseline's blind enumeration: a prefix deviation also shifts how
 the uncontrolled tail *aligns*, and at very tight horizons (the n = 3
 broadcast cells at ``depth_bound = 5``) that alignment effect produces
@@ -70,7 +83,7 @@ verified regime.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.sim.scheduler import CoroutineId
 
@@ -82,57 +95,72 @@ EffectSignature = Tuple[str, ...]
 NEVER = 1 << 30
 
 
-def analyze_run(
-    chosen: Sequence[CoroutineId],
-    effects: Sequence[EffectSignature],
-    limit: int,
-) -> Tuple[int, List[Tuple[int, CoroutineId]]]:
-    """Detect races in one executed run; derive backtrack requests.
+class RaceScan:
+    """Online happens-before race scan over one run, step by step.
 
-    ``chosen`` / ``effects`` are the run's full per-step records
-    (coroutine and effect signature of every executed step, in order);
-    ``limit`` is the deviation horizon — races whose *earlier* step
-    lies at or past it cannot be reversed by the bounded search, so
-    they produce no request (the happens-before edge is still applied).
+    ``feed`` takes the run's steps in order: the stepping coroutine, its
+    effect signature and whether the step retired it. ``limit`` is the
+    deviation horizon — races whose *earlier* step lies at or past it
+    cannot be reversed by the bounded search, so they produce no request
+    (the happens-before edge is still applied). ``live`` names every
+    coroutine that may step, in the order that fixes the clock layout.
 
-    Returns ``(races_detected, requests)`` where each request is
-    ``(depth, cid)``: schedule ``cid`` instead of the base choice at
-    the node ``trace[:depth]``. Requests are deduplicated.
+    :attr:`closed` turns True at *happens-before closure*: once at least
+    ``limit`` steps were fed, every live coroutine has either retired or
+    stepped with a clock covering every in-window step (see the
+    "Bounded windows" paragraph of the module doc). From then on no
+    further step can add a reversible race, so :meth:`result` over the
+    steps fed so far equals :meth:`result` over the whole run. Feeding
+    after closure stays legal and changes nothing that ``result``
+    reports.
     """
-    total = min(len(chosen), len(effects))
-    if total == 0:
-        return 0, []
 
-    # Coroutine -> dense index, in order of first appearance.
-    proc_index: Dict[CoroutineId, int] = {}
-    for cid in chosen:
-        if cid not in proc_index:
-            proc_index[cid] = len(proc_index)
-    width = len(proc_index)
-    zero = (0,) * width
+    def __init__(self, limit: int, live: Iterable[CoroutineId]):
+        self.limit = limit
+        #: Coroutine -> dense clock index.
+        self._index: Dict[CoroutineId, int] = {}
+        for cid in live:
+            self._index.setdefault(cid, len(self._index))
+        width = len(self._index)
+        self._zero = (0,) * width
+        self._chosen: List[CoroutineId] = []
+        # Per step: owning proc index, per-proc local step number, and
+        # the vector clock *after* the step (vc[p] = number of p's steps
+        # that happen-before-or-equal this one).
+        self._proc: List[int] = []
+        self._local: List[int] = []
+        self._vc: List[Tuple[int, ...]] = []
+        self._counts = [0] * width
+        # Immediate-predecessor tracking (see module doc).
+        self._last_step_of: List[Optional[int]] = [None] * width
+        self._last_sync: Optional[int] = None
+        self._last_write: Dict[str, int] = {}
+        self._reads_since_write: Dict[str, List[int]] = {}
+        self._last_mbox: Dict[int, int] = {}
+        self._last_bcast: Optional[int] = None
+        self._races: List[Tuple[int, int]] = []
+        self._retired: Set[int] = set()
+        #: Per-proc local step counts at the end of the window, once fed.
+        self._target: Optional[Tuple[int, ...]] = None
+        #: Live procs not yet covered by ``_target`` (valid once set).
+        self._open: Set[int] = set()
+        self.closed = False
 
-    # Per-step: owning proc index, per-proc local step number, and the
-    # vector clock *after* the step (vc[p] = number of p's steps that
-    # happen-before-or-equal this one).
-    step_proc: List[int] = [0] * total
-    step_local: List[int] = [0] * total
-    step_vc: List[Tuple[int, ...]] = [zero] * total
-    local_count = [0] * width
+    def _covers(self, vc: Tuple[int, ...]) -> bool:
+        return all(map(int.__ge__, vc, self._target))
 
-    # Immediate-predecessor tracking (see module doc).
-    last_step_of: List[Optional[int]] = [None] * width
-    last_sync: Optional[int] = None
-    last_write: Dict[str, int] = {}
-    reads_since_write: Dict[str, List[int]] = {}
-    last_mbox: Dict[int, int] = {}
-    last_bcast: Optional[int] = None
-
-    races: List[Tuple[int, int]] = []
-
-    for j in range(total):
-        p = proc_index[chosen[j]]
-        sig = effects[j]
+    def feed(
+        self, cid: CoroutineId, sig: EffectSignature, retired: bool = False
+    ) -> None:
+        """Scan one more step of the run."""
+        j = len(self._chosen)
+        p = self._index[cid]
         head = sig[0]
+        step_proc = self._proc
+        step_local = self._local
+        step_vc = self._vc
+        last_step_of = self._last_step_of
+        last_sync = self._last_sync
 
         candidates: List[Optional[int]]
         if head == "sync":
@@ -140,76 +168,129 @@ def analyze_run(
         elif head == "pause":
             candidates = [last_sync]
         elif head == "read":
-            candidates = [last_write.get(sig[1]), last_sync]
+            candidates = [self._last_write.get(sig[1]), last_sync]
         elif head == "write":
             register = sig[1]
-            candidates = [last_write.get(register), last_sync]
-            candidates.extend(reads_since_write.get(register, ()))
+            candidates = [self._last_write.get(register), last_sync]
+            candidates.extend(self._reads_since_write.get(register, ()))
         elif head in ("send", "recv"):
-            candidates = [last_mbox.get(sig[1]), last_bcast, last_sync]
+            candidates = [
+                self._last_mbox.get(sig[1]), self._last_bcast, last_sync
+            ]
         else:  # bcast
-            candidates = list(last_mbox.values())
-            candidates.append(last_bcast)
+            candidates = list(self._last_mbox.values())
+            candidates.append(self._last_bcast)
             candidates.append(last_sync)
 
         own_prev = last_step_of[p]
-        vc = step_vc[own_prev] if own_prev is not None else zero
+        vc = step_vc[own_prev] if own_prev is not None else self._zero
         # Later candidates first: merging a later conflicting step's
         # clock may already order an earlier one (then it is not an
         # immediate predecessor and not a race).
-        for i in sorted(
-            {c for c in candidates if c is not None}, reverse=True
-        ):
+        for i in sorted({c for c in candidates if c is not None}, reverse=True):
             q = step_proc[i]
             if q == p:
                 continue  # program order, already inside vc
             if vc[q] >= step_local[i]:
                 continue  # happens-before through an intermediate step
-            races.append((i, j))
+            self._races.append((i, j))
             vc = tuple(map(max, vc, step_vc[i]))
 
-        local = local_count[p] + 1
-        local_count[p] = local
+        local = self._counts[p] + 1
+        self._counts[p] = local
         vc = vc[:p] + (local,) + vc[p + 1:]
-        step_proc[j] = p
-        step_local[j] = local
-        step_vc[j] = vc
+        self._chosen.append(cid)
+        step_proc.append(p)
+        step_local.append(local)
+        step_vc.append(vc)
         last_step_of[p] = j
 
         if head == "sync":
-            last_sync = j
+            self._last_sync = j
         elif head == "read":
-            reads_since_write.setdefault(sig[1], []).append(j)
+            self._reads_since_write.setdefault(sig[1], []).append(j)
         elif head == "write":
-            last_write[sig[1]] = j
-            reads_since_write.pop(sig[1], None)
+            self._last_write[sig[1]] = j
+            self._reads_since_write.pop(sig[1], None)
         elif head in ("send", "recv"):
-            last_mbox[sig[1]] = j
+            self._last_mbox[sig[1]] = j
         elif head == "bcast":
-            last_bcast = j
-            last_mbox.clear()
+            self._last_bcast = j
+            self._last_mbox.clear()
 
-    # Backtrack requests: for each reversible race, the first step after
-    # i that does not happen-after i — the head of notdep(i) · proc(j),
-    # hence an initial of it (nothing in the sequence precedes it).
-    requests: List[Tuple[int, CoroutineId]] = []
-    seen: Set[Tuple[int, CoroutineId]] = set()
-    reversible = 0
-    for i, j in races:
-        if i >= limit:
-            continue
-        reversible += 1
-        pi, li = step_proc[i], step_local[i]
-        winner = chosen[j]
-        for k in range(i + 1, j):
-            if step_vc[k][pi] < li:
-                winner = chosen[k]
-                break
-        request = (i, winner)
-        if request not in seen:
-            seen.add(request)
-            requests.append(request)
-    return reversible, requests
+        if retired:
+            self._retired.add(p)
+        if self._target is None:
+            if j + 1 < self.limit:
+                return
+            # The window is fully fed: every later step must start from
+            # a clock covering these counts for the scan to close.
+            self._target = tuple(self._counts)
+            self._open = {
+                q
+                for q, last in enumerate(last_step_of)
+                if q not in self._retired
+                and (last is None or not self._covers(step_vc[last]))
+            }
+        elif p in self._open and (retired or self._covers(vc)):
+            self._open.discard(p)
+        self.closed = not self._open
+
+    def result(self) -> Tuple[int, List[Tuple[int, CoroutineId]]]:
+        """``(races_detected, requests)`` over the steps fed so far.
+
+        Each request is ``(depth, cid)``: schedule ``cid`` instead of
+        the base choice at the node ``trace[:depth]``. Requests are
+        deduplicated and ordered by the race that first demanded them.
+        """
+        chosen = self._chosen
+        step_proc = self._proc
+        step_local = self._local
+        step_vc = self._vc
+        # Backtrack requests: for each reversible race, the first step
+        # after i that does not happen-after i — the head of notdep(i) ·
+        # proc(j), hence an initial of it (nothing in the sequence
+        # precedes it).
+        requests: List[Tuple[int, CoroutineId]] = []
+        seen: Set[Tuple[int, CoroutineId]] = set()
+        reversible = 0
+        for i, j in self._races:
+            if i >= self.limit:
+                continue
+            reversible += 1
+            pi, li = step_proc[i], step_local[i]
+            winner = chosen[j]
+            for k in range(i + 1, j):
+                if step_vc[k][pi] < li:
+                    winner = chosen[k]
+                    break
+            request = (i, winner)
+            if request not in seen:
+                seen.add(request)
+                requests.append(request)
+        return reversible, requests
+
+
+def analyze_run(
+    chosen: Sequence[CoroutineId],
+    effects: Sequence[EffectSignature],
+    limit: int,
+) -> Tuple[int, List[Tuple[int, CoroutineId]]]:
+    """Detect races in one executed run; derive backtrack requests.
+
+    ``chosen`` / ``effects`` are the run's per-step records (coroutine
+    and effect signature of every recorded step, in order) and ``limit``
+    the deviation horizon, as for :class:`RaceScan`. The record may end
+    anywhere at or past the scan's happens-before closure: the result
+    is the same as over the whole run.
+
+    Returns ``(races_detected, requests)`` (see :meth:`RaceScan.result`).
+    """
+    total = min(len(chosen), len(effects))
+    scan = RaceScan(limit, chosen[:total])
+    for k in range(total):
+        scan.feed(chosen[k], effects[k])
+    return scan.result()
 
 
 class SymmetryFolder:

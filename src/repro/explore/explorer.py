@@ -30,10 +30,11 @@ history the spec checkers can judge. The search is bounded three ways:
   effect at a node is read off the base run (it is invariant until the
   coroutine steps), so no extra executions are needed.
 * ``"dpor"`` inverts the expansion: no sibling is scheduled until a
-  reason exists. Each executed run is scanned for *races* — pairs of
-  conflicting steps by different coroutines, adjacent in the
-  happens-before order :mod:`repro.explore.dpor` computes from the
-  recorded effect signatures — and each race adds exactly one
+  reason exists. Each run is scanned online, up to happens-before
+  closure, for *races* — pairs of conflicting steps by different
+  coroutines, adjacent in the happens-before order
+  :mod:`repro.explore.dpor` computes from the recorded effect
+  signatures — and each race adds exactly one
   source-set backtrack candidate at the last node before the race,
   instead of expanding every runnable sibling. The fingerprint memo
   composes: a memo-pruned node is neither expanded nor race-scanned
@@ -85,7 +86,7 @@ from repro.sim.effects import (
 )
 from repro.sim.scheduler import CoroutineId, RoundRobinScheduler, TraceScheduler
 from repro.spec.context import CheckContext
-from repro.explore.dpor import NEVER, SymmetryFolder, analyze_run
+from repro.explore.dpor import NEVER, RaceScan, SymmetryFolder, analyze_run
 from repro.explore.scenarios import Scenario, Violation
 
 #: Effect signature: ("read", reg) / ("write", reg) / ("pause",) /
@@ -219,6 +220,9 @@ class ExploreReport:
     budget: int
     runs: int = 0
     steps: int = 0
+    #: Steps the per-step recorder observed before its window closed
+    #: (the rest of each run took the kernel's uninstrumented path).
+    recorded_steps: int = 0
     states: int = 0
     unique_states: int = 0
     incomplete: int = 0
@@ -267,7 +271,8 @@ class ExploreReport:
             pruning = (
                 f"{self.races_detected} races detected, pruned "
                 f"{self.pruned_dpor} by dpor / {self.pruned_symmetry} "
-                f"by symmetry / {self.pruned_preemption} by preemption bound"
+                f"by symmetry / {self.pruned_sleep} by sleep sets / "
+                f"{self.pruned_preemption} by preemption bound"
             )
         return (
             f"{self.scenario}: {verdict} in {self.runs} runs "
@@ -276,6 +281,7 @@ class ExploreReport:
             f"preemptions<={self.preemption_bound}; {tree}); "
             f"{self.runs_per_sec:.0f} runs/s, {self.states_per_sec:.0f} states/s, "
             f"{self.unique_states} unique states, "
+            f"{self.recorded_steps}/{self.steps} steps recorded, "
             + pruning
         )
 
@@ -288,7 +294,7 @@ def execute_trace(
     schedule_label: str = "",
     ctx: Optional[CheckContext] = None,
     early_exit: bool = False,
-    record_full: bool = False,
+    scan_races: bool = False,
 ) -> RunRecord:
     """Replay ``prefix`` against a fresh build of ``scenario``.
 
@@ -297,13 +303,13 @@ def execute_trace(
     signatures and (optionally) state fingerprints for the search loop.
     Raises :class:`SchedulerError` when the prefix is not realizable.
     ``ctx`` shares oracle caches across replays; ``early_exit`` arms the
-    scenario's incremental violation monitor. ``record_full`` keeps the
-    per-step recorder attached for the whole run instead of closing the
-    window past the horizon (the dpor race scan needs the full trace).
+    scenario's incremental violation monitor. ``scan_races`` keeps the
+    recorder attached until the online dpor race scan closes too (see
+    :class:`InstrumentedRun`).
     """
     return InstrumentedRun(
         scenario, prefix, depth_bound, fingerprints, schedule_label,
-        ctx=ctx, early_exit=early_exit, record_full=record_full,
+        ctx=ctx, early_exit=early_exit, scan_races=scan_races,
     ).finish()
 
 
@@ -324,8 +330,15 @@ class InstrumentedRun:
     coroutine seen runnable inside the horizon has stepped beyond it (or
     retired). ``chosen``/``effects`` additionally always cover the full
     forced prefix (the shrinker converts prefix decisions into scripts).
-    The windowed record answers every search-loop query identically to a
-    full-length record.
+
+    With ``scan_races`` (the dpor modes) every recorded step also feeds a
+    :class:`repro.explore.dpor.RaceScan` over the coroutines runnable
+    before the drive, and the window stays open until that scan reaches
+    happens-before closure as well. Every scenario fixes its coroutine
+    set at build time, so no coroutine the scan does not know can step
+    afterwards. The windowed record answers every search-loop query —
+    sleep-set lookups and :func:`repro.explore.dpor.analyze_run` —
+    identically to a full-length record.
     """
 
     def __init__(
@@ -337,13 +350,12 @@ class InstrumentedRun:
         schedule_label: str = "",
         ctx: Optional[CheckContext] = None,
         early_exit: bool = False,
-        record_full: bool = False,
+        scan_races: bool = False,
     ):
         self.scenario = scenario
         self.depth_bound = depth_bound
         self.fingerprints = fingerprints
         self.schedule_label = schedule_label
-        self.record_full = record_full
         self.scheduler = TraceScheduler(
             prefix=prefix, fallback=RoundRobinScheduler(), horizon=depth_bound
         )
@@ -363,6 +375,11 @@ class InstrumentedRun:
         #: post-horizon next effect is still unknown.
         self._pending: Optional[set] = None
         self._window = max(depth_bound, len(prefix))
+        self._scan = (
+            RaceScan(depth_bound, self.system.runnable())
+            if scan_races
+            else None
+        )
         self.system.on_step = self._on_step
 
     def _on_step(self, cid: CoroutineId, effect: object) -> None:
@@ -370,32 +387,16 @@ class InstrumentedRun:
             sig = _SYNC_SIG
             self._finished.add(cid)
         else:
-            effect_type = type(effect)
-            kind = _SIG_KINDS.get(effect_type)
-            if kind is None:
-                kind = _resolve_sig_kind(effect_type)
-            if kind == "pause":
-                sig = _PAUSE_SIG
-            elif kind == "read":
-                sig = ("read", effect.register)
-            elif kind == "write":
-                sig = ("write", effect.register)
-            elif self._networked:
-                sig = _SYNC_SIG
-            elif kind == "send":
-                sig = ("send", effect.to)
-            elif kind == "bcast":
-                sig = _BCAST_SIG
-            elif kind == "recv":
-                sig = ("recv", cid[0])
-            else:
-                sig = _SYNC_SIG
+            sig = effect_signature(effect, cid[0], self._networked)
         signatures = self.signatures
         signatures.append(sig)
         self.chosen.append(cid)
         if self.fingerprints and len(self.prints) < self.depth_bound:
             self.prints.append(self.system.fingerprint())
-        if not self.record_full and len(signatures) > self._window:
+        scan = self._scan
+        if scan is not None:
+            scan.feed(cid, sig, effect is None)
+        if len(signatures) > self._window:
             pending = self._pending
             if pending is None:
                 pending = set()
@@ -404,7 +405,7 @@ class InstrumentedRun:
                 pending -= self._finished
                 self._pending = pending
             pending.discard(cid)
-            if not pending:
+            if not pending and (scan is None or scan.closed):
                 # Window closed: nothing left to observe, run the tail
                 # of the schedule without per-step instrumentation.
                 self.system.on_step = None
@@ -645,7 +646,7 @@ def explore(
                     schedule_label="explore(dfs)",
                     ctx=ctx,
                     early_exit=early_exit,
-                    record_full=use_dpor,
+                    scan_races=use_dpor,
                 )
             except SchedulerError:
                 # The prefix stopped being realizable (can happen when
@@ -653,6 +654,7 @@ def explore(
                 continue
             report.runs += 1
             report.steps += record.steps
+            report.recorded_steps += len(record.chosen)
             report.states += len(record.fingerprints)
             if not record.completed:
                 report.incomplete += 1
